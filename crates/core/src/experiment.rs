@@ -183,8 +183,8 @@ impl ExperimentConfig {
     ///
     /// `graph` must be what `self.graph.build(seed)` would return — the scenario
     /// runner uses this to share one generated graph across every protocol that sweeps
-    /// over the same `GraphSpec × seed` cell (via the `clb_graph::snapshot` cache)
-    /// instead of regenerating it per trial. Passing any other graph silently breaks
+    /// over the same `GraphSpec × seed` cell (via its graph cache) instead of
+    /// regenerating it per trial. Passing any other graph silently breaks
     /// the config/outcome correspondence recorded in [`TrialOutcome`].
     pub fn run_trial_on(&self, graph: &clb_graph::BipartiteGraph, seed: u64) -> TrialOutcome {
         let protocol = match &self.faults {

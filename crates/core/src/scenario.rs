@@ -33,19 +33,20 @@
 //! identical graphs and request streams — opt out explicitly with
 //! [`Scenario::paired_seeds`].
 //!
-//! # Graph snapshot cache
+//! # Graph cache
 //!
 //! Materialising a topology is typically far more expensive than running a protocol on
 //! it, and cross sweeps (e.g. `c × protocol`) revisit the same `GraphSpec × seed`
 //! graph identity once per protocol arm. [`Scenario::run`] therefore builds each
 //! distinct `GraphSpec × seed` graph exactly once: identities shared by several grid
-//! cells are kept as compact `clb_graph::snapshot` encodings that each cell decodes
-//! (an `O(edges)` copy, pinned byte-identical to a fresh generation by the snapshot
-//! round-trip tests), while single-cell identities build their graph directly inside
-//! the cell's trial, so peak memory scales with the shared identities only.
-//! (Terminology: a *cell* is one (sweep point × trial) grid entry; several cells can
-//! map to one graph identity.) The resulting [`CacheStats`] are reported on the
-//! [`SweepReport`] and printed as the `graph cache:` line CI greps.
+//! cells are built up front, on the pool, and every cell that lands on one borrows the
+//! same in-memory graph, while single-cell identities build their graph directly inside
+//! the cell's trial, so resident graphs are the shared identities only. (Terminology: a
+//! *cell* is one (sweep point × trial) grid entry; several cells can map to one graph
+//! identity.) Graphs are encoded as `clb_graph::snapshot` bytes only when they must
+//! cross a process boundary, in [`Scenario::run_sharded`]. The resulting
+//! [`CacheStats`] are reported on the [`SweepReport`] and printed as the
+//! `graph cache:` line CI greps.
 //!
 //! A complete experiment binary is now a scenario declaration plus a table render:
 //!
@@ -76,7 +77,7 @@ use crate::accumulate::{merge_grid_fold, GridFold, Retention};
 use crate::experiment::{ExperimentConfig, ExperimentReport, Measurements};
 use clb_engine::Demand;
 use clb_faults::FaultPlan;
-use clb_graph::{snapshot, GraphError};
+use clb_graph::{BipartiteGraph, GraphError};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -256,8 +257,8 @@ impl Scenario {
     /// [`ExperimentConfig::run`].
     ///
     /// Each distinct `GraphSpec × seed` graph identity is materialised exactly once
-    /// and shared (as a snapshot) by every grid cell that lands on it — see the module
-    /// docs. Distinct points with equal `GraphSpec`s must have disjoint
+    /// and shared by every grid cell that lands on it — see the module docs.
+    /// Distinct points with equal `GraphSpec`s must have disjoint
     /// `[base_seed, base_seed + trials)` ranges unless [`Scenario::paired_seeds`] was
     /// called; violating this panics (in release builds too).
     pub fn run<T, F>(&self, sweep: Sweep<T>, config: F) -> Result<SweepReport<T>, GraphError>
@@ -281,7 +282,7 @@ impl Scenario {
         }
 
         let plan = plan_grid(&configs);
-        let snapshots = build_shared_snapshots(&configs, &plan)?;
+        let shared = build_shared_graphs(&configs, &plan, |graph| graph)?;
 
         // Per-cell cache accounting. The grid pass below runs on pool workers, so the
         // tallies are relaxed atomics merged into plain `CacheStats` fields after the
@@ -310,20 +311,22 @@ impl Scenario {
             .map(|(&(index, trial), &identity)| {
                 let config = &configs[index];
                 let seed = config.base_seed + trial;
-                let graph = match &snapshots[identity] {
-                    Some(snapshot) => {
+                let built;
+                let graph = match &shared[identity] {
+                    Some(graph) => {
                         snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                        snapshot::decode(snapshot)?
+                        graph
                     }
                     None => {
                         direct_builds.fetch_add(1, Ordering::Relaxed);
-                        config.graph.build(seed)?
+                        built = config.graph.build(seed)?;
+                        &built
                     }
                 };
                 Ok(GridFold::cell(
                     index,
                     config.retention,
-                    config.run_trial_on(&graph, seed),
+                    config.run_trial_on(graph, seed),
                 ))
             })
             .reduce(|| Ok(GridFold::empty()), merge_grid_fold);
@@ -391,7 +394,7 @@ pub(crate) struct GridPlan {
 }
 
 /// Expands the configs into the flat grid and groups cells by `GraphSpec × seed`
-/// graph identity (keyed by [`GraphSpec::cache_key`], like the snapshot cache).
+/// graph identity (keyed by [`GraphSpec::cache_key`], like the graph cache).
 pub(crate) fn plan_grid(configs: &[ExperimentConfig]) -> GridPlan {
     // One flat grid: a slow sweep point never serialises the rest of the sweep.
     let grid: Vec<(usize, u64)> = configs
@@ -427,18 +430,20 @@ pub(crate) fn plan_grid(configs: &[ExperimentConfig]) -> GridPlan {
     }
 }
 
-/// Graph snapshot cache: generate each distinct `GraphSpec × seed` graph identity
-/// once. Identities shared by more than one grid cell (cross sweeps, paired designs)
-/// are pre-generated in parallel and kept as compact snapshot encodings that every
-/// cell decodes; identities with exactly one cell gain nothing from a resident
-/// snapshot, so their graph is built directly inside the cell's trial and peak memory
-/// stays proportional to the *shared* identities only. The sharded runner ships the
-/// same encodings to worker processes, so a graph shared across shards is still
-/// generated exactly once.
-pub(crate) fn build_shared_snapshots(
+/// Graph cache: generate each distinct `GraphSpec × seed` graph identity once.
+/// Identities shared by more than one grid cell (cross sweeps, paired designs) are
+/// generated in parallel up front and passed through `keep`, which returns the form
+/// the cells will read: the graph itself in process, its snapshot encoding for the
+/// sharded runner's workers (so a graph shared across shards is still generated
+/// exactly once, and dropped as soon as it is encoded). Identities with exactly one
+/// cell gain nothing from a resident copy, so theirs is built directly inside the
+/// cell's trial (`None`) and resident memory stays proportional to the *shared*
+/// identities only.
+pub(crate) fn build_shared_graphs<G: Send>(
     configs: &[ExperimentConfig],
     plan: &GridPlan,
-) -> Result<Vec<Option<bytes::Bytes>>, GraphError> {
+    keep: impl Fn(BipartiteGraph) -> G + Sync,
+) -> Result<Vec<Option<G>>, GraphError> {
     plan.identities
         .par_iter()
         .zip(plan.cells_per_identity.par_iter())
@@ -447,8 +452,7 @@ pub(crate) fn build_shared_snapshots(
                 configs[config_index]
                     .graph
                     .build(seed)
-                    .map(|graph| snapshot::encode(&graph))
-                    .map(Some)
+                    .map(|g| Some(keep(g)))
             } else {
                 Ok(None)
             }
@@ -496,7 +500,7 @@ pub(crate) fn assert_disjoint_seed_ranges(scenario_id: &str, configs: &[Experime
     }
 }
 
-/// How much graph generation the snapshot cache saved in one [`Scenario::run`]: the
+/// How much graph generation the graph cache saved in one [`Scenario::run`]: the
 /// runner materialised `graphs_built` distinct `GraphSpec × seed` cells to serve
 /// `cells_run` (point × trial) grid cells.
 ///
@@ -509,11 +513,12 @@ pub struct CacheStats {
     pub graphs_built: usize,
     /// Total (sweep point × trial) cells executed.
     pub cells_run: usize,
-    /// Cells whose graph identity is shared with other cells and was served by
-    /// decoding the resident snapshot (the cache's savings).
+    /// Cells whose graph identity is shared with other cells and was served from the
+    /// shared cache: in process the resident graph, in a shard worker the shipped
+    /// snapshot (the cache's savings).
     pub snapshot_hits: usize,
     /// Cells with a single-use graph identity that built their graph directly inside
-    /// the cell (a resident snapshot would save nothing).
+    /// the cell (a resident graph would save nothing).
     pub direct_builds: usize,
 }
 
@@ -606,7 +611,7 @@ pub struct SweepReport<T> {
     pub label: String,
     /// One row per sweep point.
     pub rows: Vec<SweepRow<T>>,
-    /// Graph snapshot-cache statistics for this run.
+    /// Graph-cache statistics for this run.
     pub cache: CacheStats,
 }
 
@@ -734,7 +739,7 @@ mod tests {
         assert_eq!(report.cache.graphs_built, 3, "3 seeds shared by 2 arms");
         assert_eq!(
             report.cache.snapshot_hits, 6,
-            "every cell decoded a snapshot"
+            "every cell borrowed a shared graph"
         );
         assert_eq!(report.cache.direct_builds, 0);
         // Pairing is real: both arms saw identical topologies per trial.
@@ -788,9 +793,9 @@ mod tests {
 
     #[test]
     fn cached_graphs_match_fresh_generation() {
-        // A Scenario::run trial goes generator → snapshot encode → decode; the direct
+        // A Scenario::run trial borrows the cache's shared graph; the direct
         // ExperimentConfig::run path regenerates per trial. Outcomes must be
-        // bit-identical, proving the cache round-trip changes nothing.
+        // bit-identical, proving the cache changes nothing.
         let direct = config_for(4).trials(3).run().unwrap();
         let cached = scenario()
             .run(Sweep::over("c", [4u32]), |_, &c| config_for(c))

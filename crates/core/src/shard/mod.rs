@@ -17,11 +17,12 @@
 //!   identity numbering and the shared-vs-direct split are decided once, in the
 //!   driver, never re-derived by a worker.
 //! * **Graphs travel, generation doesn't.** Identities shared by several cells are
-//!   generated once in the driver and shipped as `clb_graph::snapshot` encodings —
-//!   the PR-2 snapshot cache's format doubling as the wire format — so a worker
-//!   decodes exactly the bytes an in-process cell would have decoded. Single-use
-//!   identities are built directly in the worker from `GraphSpec × seed`, exactly as
-//!   the in-process path builds them in the cell.
+//!   generated once in the driver and shipped as `clb_graph::snapshot` encodings
+//!   (the only place snapshots are used), so a worker decodes the very graph an
+//!   in-process cell borrows from the shared cache — the snapshot round trip is
+//!   pinned `==` by clb-graph's tests. Single-use identities are built directly in
+//!   the worker from `GraphSpec × seed`, exactly as the in-process path builds them
+//!   in the cell.
 //! * **Exact result transport.** Trial outcomes return over a versioned little-endian
 //!   format in which floats travel as IEEE-754 bit patterns, so a merged
 //!   `TrialOutcome` is byte-for-byte the worker's original.
@@ -95,7 +96,7 @@ pub use wire::{
 use crate::accumulate::{merge_grid_fold, GridFold, OutcomeAccumulator, Retention};
 use crate::experiment::ExperimentConfig;
 use crate::scenario::{
-    build_shared_snapshots, plan_grid, print_cache_line, CacheStats, Scenario, Sweep, SweepReport,
+    build_shared_graphs, plan_grid, print_cache_line, CacheStats, Scenario, Sweep, SweepReport,
     SweepRow,
 };
 use clb_graph::{snapshot, GraphError};
@@ -383,7 +384,8 @@ impl Scenario {
         );
 
         let grid_plan = plan_grid(&configs);
-        let snapshots = build_shared_snapshots(&configs, &grid_plan)?;
+        let snapshots =
+            build_shared_graphs(&configs, &grid_plan, |graph| snapshot::encode(&graph))?;
         let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
         let worker_exe = plan.resolve_worker()?;
         let ranges = partition_cells(grid_plan.grid.len(), plan.shards());
@@ -617,12 +619,13 @@ fn build_manifest(
 /// Executes one shard's cells on this process's rayon pool and returns its report.
 ///
 /// This is the worker half of the determinism contract: the per-cell work is exactly
-/// the in-process grid pass of [`Scenario::run`] — decode the shipped snapshot or
-/// build `GraphSpec × seed` directly, then run the trial — folded into per-point
-/// accumulators in manifest cell order at every thread count. Under
-/// `Retention::Full` the report carries every outcome (in cell order); under
-/// `Retention::Summary` it carries one O(1)-sized accumulator state per sweep point
-/// the shard touched, and the outcomes never outlive the worker.
+/// the in-process grid pass of [`Scenario::run`] — decode the shipped snapshot of a
+/// shared graph (where the in-process pass borrows it) or build `GraphSpec × seed`
+/// directly, then run the trial — folded into per-point accumulators in manifest
+/// cell order at every thread count. Under `Retention::Full` the report carries every
+/// outcome (in cell order); under `Retention::Summary` it carries one O(1)-sized
+/// accumulator state per sweep point the shard touched, and the outcomes never
+/// outlive the worker.
 pub fn execute_manifest(manifest: &ShardManifest) -> Result<ShardReport, ShardError> {
     let retention = manifest
         .configs

@@ -8,10 +8,11 @@ use serde::{Deserialize, Serialize};
 
 /// An immutable bipartite client-server graph in compressed sparse row form.
 ///
-/// Adjacency is stored in both directions:
-/// * client → servers, for the protocols (a client only ever contacts `N(v)`);
-/// * server → clients, for the analysis observers (e.g. computing `r_t(N(v))` and the
-///   burned fraction `S_t(v)` requires walking server neighbourhoods).
+/// Adjacency is stored client-side only: one offsets array plus one flat array of
+/// server ids, each client's block sorted ascending. A client only ever contacts its
+/// neighbourhood `N(v)`, so that is the one direction the engine reads. Servers keep
+/// just their degrees, for [`BipartiteGraph::server_degree`] and
+/// [`crate::DegreeStats`].
 ///
 /// The graph is *simple*: no duplicate (client, server) edges. Multi-edges would skew
 /// the uniform-neighbour sampling distribution the paper's protocols rely on, so the
@@ -22,8 +23,7 @@ pub struct BipartiteGraph {
     num_servers: usize,
     client_offsets: Vec<u64>,
     client_edges: Vec<ServerId>,
-    server_offsets: Vec<u64>,
-    server_edges: Vec<ClientId>,
+    server_degrees: Vec<u64>,
 }
 
 impl BipartiteGraph {
@@ -38,8 +38,8 @@ impl BipartiteGraph {
         edges: &[(u32, u32)],
     ) -> Result<Self> {
         // Count degrees first.
-        let mut client_deg = vec![0u64; num_clients];
-        let mut server_deg = vec![0u64; num_servers];
+        let mut cursor = vec![0u64; num_clients];
+        let mut server_degrees = vec![0u64; num_servers];
         for &(c, s) in edges {
             let (ci, si) = (c as usize, s as usize);
             if ci >= num_clients {
@@ -54,53 +54,50 @@ impl BipartiteGraph {
                     num_servers,
                 });
             }
-            client_deg[ci] += 1;
-            server_deg[si] += 1;
+            cursor[ci] += 1;
+            server_degrees[si] += 1;
         }
 
-        let client_offsets = prefix_sum(&client_deg);
-        let server_offsets = prefix_sum(&server_deg);
-
+        let client_offsets = prefix_sum(cursor.iter().copied());
+        // The degree buffer becomes the scatter cursor: each client's next free slot.
+        cursor.copy_from_slice(&client_offsets[..num_clients]);
         let mut client_edges = vec![ServerId(0); edges.len()];
-        let mut server_edges = vec![ClientId(0); edges.len()];
-        // One cursor buffer serves both scatters (refilled from the offsets per
-        // side) instead of cloning each offset vector — graph build is on the
-        // n = 10^7 critical path via snapshot decode, where those clones were two
-        // extra O(n) allocations.
-        let mut cursor: Vec<u64> = Vec::with_capacity(num_clients.max(num_servers));
-        cursor.extend_from_slice(&client_offsets[..num_clients]);
         for &(c, s) in edges {
             let slot = &mut cursor[c as usize];
             client_edges[*slot as usize] = ServerId(s);
             *slot += 1;
         }
-        cursor.clear();
-        cursor.extend_from_slice(&server_offsets[..num_servers]);
-        for &(c, s) in edges {
-            let slot = &mut cursor[s as usize];
-            server_edges[*slot as usize] = ClientId(c);
-            *slot += 1;
-        }
+        Self::from_client_blocks(num_servers, client_offsets, client_edges, server_degrees)
+    }
 
-        // Canonical per-range order makes equality, snapshots and duplicate
-        // detection deterministic. The two sides are disjoint buffers, so they sort
-        // as the two arms of a join; duplicate detection rides along in the client
-        // walk (an edge list has a duplicate iff some client range has adjacent
-        // equal entries once sorted — the server side mirrors the same multiset).
-        let (duplicate, ()) = rayon::join(
-            || sort_ranges_detect_duplicate(&client_offsets, &mut client_edges),
-            || sort_ranges(&server_offsets, &mut server_edges),
+    /// Assembles a graph from client-side CSR arrays: client `c` owns
+    /// `client_edges[client_offsets[c]..client_offsets[c + 1]]`, in any order, and
+    /// `server_degrees` must count each server's occurrences in `client_edges`.
+    ///
+    /// Sorts every block into canonical order, which makes equality and snapshots
+    /// deterministic, and rejects the first duplicate in ascending client order.
+    pub(crate) fn from_client_blocks(
+        num_servers: usize,
+        client_offsets: Vec<u64>,
+        mut client_edges: Vec<ServerId>,
+        server_degrees: Vec<u64>,
+    ) -> Result<Self> {
+        debug_assert_eq!(server_degrees.len(), num_servers);
+        debug_assert_eq!(
+            client_offsets.last().copied(),
+            Some(client_edges.len() as u64)
         );
-        if let Some((client, server)) = duplicate {
+        if let Some((client, server)) =
+            sort_ranges_detect_duplicate(&client_offsets, &mut client_edges)
+        {
             return Err(GraphError::DuplicateEdge { client, server });
         }
         Ok(Self {
-            num_clients,
+            num_clients: client_offsets.len() - 1,
             num_servers,
             client_offsets,
             client_edges,
-            server_offsets,
-            server_edges,
+            server_degrees,
         })
     }
 
@@ -109,14 +106,6 @@ impl BipartiteGraph {
         (
             self.client_offsets[c] as usize,
             self.client_offsets[c + 1] as usize,
-        )
-    }
-
-    #[inline]
-    fn server_range(&self, s: usize) -> (usize, usize) {
-        (
-            self.server_offsets[s] as usize,
-            self.server_offsets[s + 1] as usize,
         )
     }
 
@@ -145,13 +134,6 @@ impl BipartiteGraph {
         &self.client_edges[lo..hi]
     }
 
-    /// The clients adjacent to server `u` — the neighbourhood `N(u)`.
-    #[inline]
-    pub fn server_neighbors(&self, u: ServerId) -> &[ClientId] {
-        let (lo, hi) = self.server_range(u.index());
-        &self.server_edges[lo..hi]
-    }
-
     /// Degree of client `v`, written `Δ_v` in the paper.
     #[inline]
     pub fn client_degree(&self, v: ClientId) -> usize {
@@ -162,8 +144,7 @@ impl BipartiteGraph {
     /// Degree of server `u`, written `Δ_u` in the paper.
     #[inline]
     pub fn server_degree(&self, u: ServerId) -> usize {
-        let (lo, hi) = self.server_range(u.index());
-        hi - lo
+        self.server_degrees[u.index()] as usize
     }
 
     /// Returns `true` if the edge (v, u) is present. Binary search, `O(log Δ_v)`.
@@ -194,13 +175,6 @@ impl BipartiteGraph {
     }
 }
 
-/// Sorts each CSR range (`offsets[i]..offsets[i + 1]`) in place.
-fn sort_ranges<T: Ord>(offsets: &[u64], edges: &mut [T]) {
-    for w in offsets.windows(2) {
-        edges[w[0] as usize..w[1] as usize].sort_unstable();
-    }
-}
-
 /// Sorts each client CSR range in place and reports the first duplicate as
 /// `(client, server)` — the adjacent-equal check runs in the same walk as the sort,
 /// in ascending client order, so the reported edge matches what a separate
@@ -218,11 +192,12 @@ fn sort_ranges_detect_duplicate(offsets: &[u64], edges: &mut [ServerId]) -> Opti
     None
 }
 
-fn prefix_sum(degrees: &[u64]) -> Vec<u64> {
+/// CSR offsets of a degree sequence: `0` followed by its running sums.
+pub(crate) fn prefix_sum(degrees: impl ExactSizeIterator<Item = u64>) -> Vec<u64> {
     let mut offsets = Vec::with_capacity(degrees.len() + 1);
     let mut acc = 0u64;
     offsets.push(0);
-    for &d in degrees {
+    for d in degrees {
         acc += d;
         offsets.push(acc);
     }
@@ -254,17 +229,22 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_is_sorted_and_symmetric() {
+    fn adjacency_is_sorted_and_server_degrees_match() {
         let g = small_graph();
         assert_eq!(
             g.client_neighbors(ClientId(1)),
             &[ServerId(1), ServerId(2), ServerId(3)]
         );
-        assert_eq!(g.server_neighbors(ServerId(1)), &[ClientId(0), ClientId(1)]);
-        // Every client edge appears in the corresponding server list and vice versa.
-        for (c, s) in g.edges() {
-            assert!(g.server_neighbors(s).contains(&c));
+        // Each server's degree is the number of client lists containing it.
+        for s in g.servers() {
+            let holders = g
+                .clients()
+                .filter(|&c| g.client_neighbors(c).contains(&s))
+                .count();
+            assert_eq!(g.server_degree(s), holders, "{s}");
         }
+        let degree_sum: usize = g.servers().map(|s| g.server_degree(s)).sum();
+        assert_eq!(degree_sum, g.num_edges());
     }
 
     #[test]

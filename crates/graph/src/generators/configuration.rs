@@ -7,16 +7,33 @@
 //! graphs with the prescribed degrees. For the sparse regimes used in the experiments
 //! (`Δ = O(log²n)`, `n` up to 2^16) the expected number of repairs is `O(Δ²)` per run and
 //! the repair loop terminates after a handful of swaps.
+//!
+//! # Block membership
+//!
+//! Client stubs are laid out grouped by client, so client `c` owns the stub positions
+//! `offsets[c]..offsets[c + 1]` of the matching and no others. The multiplicity of an
+//! edge `(c, s)` is therefore the number of times `s` occurs in `c`'s block, and every
+//! question the repair loop asks ("is this edge still duplicated?", "would this swap
+//! create an existing edge?") is a scan of one Δ-sized block rather than a lookup in a
+//! multiset of all edges. The scans return the exact multiset answers, so the loop
+//! takes the same branches and consumes the same RNG draws as a multiset-based
+//! implementation, and the output graph is bit-identical to it
+//! (`tests/configuration_differential.rs` checks this against such a reference). The
+//! blocks are also the client CSR: sorting each one in place yields the graph without
+//! an intermediate edge list.
 
-use crate::{bipartite::BipartiteGraph, GraphError, Result};
+use crate::bipartite::{prefix_sum, BipartiteGraph};
+use crate::ids::check_id_space;
+use crate::{GraphError, Result, ServerId};
 use clb_rng::domains::GENERATOR_DOMAIN;
 use clb_rng::{shuffle, RandomSource, StreamFactory};
-use std::collections::HashMap;
 
 /// Generates a uniform-ish random *simple* bipartite graph with the given degree
 /// sequences.
 ///
 /// Requirements:
+/// * both sides have at most [`MAX_NODES`](crate::ids::MAX_NODES) entries (the `u32`
+///   id space),
 /// * `client_degrees.iter().sum() == server_degrees.iter().sum()`,
 /// * every client degree is at most the number of servers,
 /// * every server degree is at most the number of clients.
@@ -31,6 +48,8 @@ pub fn configuration_model(
 ) -> Result<BipartiteGraph> {
     let num_clients = client_degrees.len();
     let num_servers = server_degrees.len();
+    check_id_space(num_clients as u64, num_servers as u64)
+        .map_err(GraphError::InvalidParameters)?;
     let total_c: usize = client_degrees.iter().sum();
     let total_s: usize = server_degrees.iter().sum();
     if total_c != total_s {
@@ -62,37 +81,39 @@ pub fn configuration_model(
         .domain(GENERATOR_DOMAIN)
         .stream(0, 0);
 
-    // Expand stubs. Position p of the matching connects client_of[p] to server_of[p].
-    let mut client_of: Vec<u32> = Vec::with_capacity(total);
-    for (c, &d) in client_degrees.iter().enumerate() {
-        client_of.extend(std::iter::repeat_n(c as u32, d));
-    }
-    let mut server_of: Vec<u32> = Vec::with_capacity(total);
+    // Expand stubs. Position p of the matching connects the client whose block holds p
+    // to server_of[p].
+    let offsets = prefix_sum(client_degrees.iter().map(|&d| d as u64));
+    let block = |c: usize| offsets[c] as usize..offsets[c + 1] as usize;
+    let owner = |p: usize| offsets.partition_point(|&o| o <= p as u64) - 1;
+    let mut server_of: Vec<ServerId> = Vec::with_capacity(total);
     for (s, &d) in server_degrees.iter().enumerate() {
-        server_of.extend(std::iter::repeat_n(s as u32, d));
+        server_of.extend(std::iter::repeat_n(ServerId::new(s), d));
     }
     shuffle(&mut server_of, &mut rng);
 
-    // Multiset of edges; a position is "bad" while its edge has multiplicity > 1.
-    // Lookups and entry updates only — the repair loop walks positions in index
-    // order, never the map.
-    // clb-audit: allow(unordered-collection) -- membership/count lookups only
-    let mut multiplicity: HashMap<(u32, u32), u32> = HashMap::with_capacity(total * 2);
-    for p in 0..total {
-        *multiplicity
-            .entry((client_of[p], server_of[p]))
-            .or_insert(0) += 1;
+    // A position is "bad" while its server repeats within its block. Blocks are
+    // visited in client order, so the worklist comes out in ascending position order.
+    let mut seen = vec![0u8; num_servers];
+    let mut worklist: Vec<usize> = Vec::new();
+    for c in 0..num_clients {
+        let stubs = &server_of[block(c)];
+        for s in stubs {
+            seen[s.index()] = seen[s.index()].saturating_add(1);
+        }
+        worklist.extend(block(c).filter(|&p| seen[server_of[p].index()] > 1));
+        for s in stubs {
+            seen[s.index()] = 0;
+        }
     }
-    let mut worklist: Vec<usize> = (0..total)
-        .filter(|&p| multiplicity[&(client_of[p], server_of[p])] > 1)
-        .collect();
 
     // Each repair needs O(1) expected proposals in the sparse regime; the budget is
     // generous so that legitimate dense cases still succeed.
     let mut budget: u64 = 200 * (worklist.len() as u64 + 1) + 10_000;
     while let Some(p) = worklist.pop() {
-        let edge_p = (client_of[p], server_of[p]);
-        if multiplicity.get(&edge_p).copied().unwrap_or(0) <= 1 {
+        let owner_p = owner(p);
+        let server_p = server_of[p];
+        if !repeats(&server_of[block(owner_p)], server_p) {
             continue; // already repaired by an earlier swap
         }
         loop {
@@ -104,43 +125,28 @@ pub fn configuration_model(
             }
             budget -= 1;
             let q = rng.gen_index(total);
-            if q == p {
-                continue;
-            }
-            let edge_q = (client_of[q], server_of[q]);
-            let new_p = (client_of[p], server_of[q]);
-            let new_q = (client_of[q], server_of[p]);
-            if new_p == new_q {
-                continue;
-            }
-            if multiplicity.get(&new_p).copied().unwrap_or(0) > 0
-                || multiplicity.get(&new_q).copied().unwrap_or(0) > 0
+            // The swap creates (owner_p, server_of[q]) and (owner_q, server_p); both
+            // must be absent. Within one block (q == p included) the first one is the
+            // edge at q itself, so same-owner proposals always fail.
+            let owner_q = owner(q);
+            if owner_q == owner_p
+                || server_of[block(owner_p)].contains(&server_of[q])
+                || server_of[block(owner_q)].contains(&server_p)
             {
                 continue;
             }
-            // Perform the swap: both old edges lose one copy, both new edges are unique.
-            decrement(&mut multiplicity, edge_p);
-            decrement(&mut multiplicity, edge_q);
             server_of.swap(p, q);
-            multiplicity.insert(new_p, 1);
-            multiplicity.insert(new_q, 1);
             break;
         }
     }
 
-    let edges: Vec<(u32, u32)> = client_of.into_iter().zip(server_of).collect();
-    BipartiteGraph::from_edges(num_clients, num_servers, &edges)
+    let server_degrees = server_degrees.iter().map(|&d| d as u64).collect();
+    BipartiteGraph::from_client_blocks(num_servers, offsets, server_of, server_degrees)
 }
 
-// clb-audit: allow(unordered-collection) -- keyed update of a single entry
-fn decrement(map: &mut HashMap<(u32, u32), u32>, key: (u32, u32)) {
-    if let Some(v) = map.get_mut(&key) {
-        if *v <= 1 {
-            map.remove(&key);
-        } else {
-            *v -= 1;
-        }
-    }
+/// True if `server` occurs at least twice in `block`.
+fn repeats(block: &[ServerId], server: ServerId) -> bool {
+    block.iter().filter(|&&s| s == server).nth(1).is_some()
 }
 
 #[cfg(test)]
@@ -184,7 +190,7 @@ mod tests {
         let deg = vec![12usize; 16];
         let g = configuration_model(&deg, &deg, 99).unwrap();
         assert_eq!(g.num_edges(), 12 * 16);
-        // No duplicates by construction (from_edges would have failed otherwise).
+        // No duplicates by construction (the CSR build would have failed otherwise).
         for c in g.clients() {
             assert_eq!(g.client_degree(c), 12);
         }

@@ -63,13 +63,16 @@ mod tests {
             assert_eq!(g.num_servers(), n, "{name}");
             let stats = DegreeStats::of(&g);
             assert!(stats.num_edges > 0, "{name} generated no edges");
-            // CSR symmetry: every client edge is mirrored on the server side.
-            for (c, s) in g.edges() {
-                assert!(
-                    g.server_neighbors(s).contains(&c),
-                    "{name}: asymmetric edge"
-                );
+            // Server degrees agree with the client lists they summarise.
+            let mut holders = vec![0usize; g.num_servers()];
+            for (_, s) in g.edges() {
+                holders[s.index()] += 1;
             }
+            for s in g.servers() {
+                assert_eq!(g.server_degree(s), holders[s.index()], "{name}: {s}");
+            }
+            let degree_sum: usize = g.servers().map(|s| g.server_degree(s)).sum();
+            assert_eq!(degree_sum, g.num_edges(), "{name}");
         }
     }
 }

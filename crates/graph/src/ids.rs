@@ -6,6 +6,22 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most clients (or servers) a graph can hold: ids are `u32`, so they run `0..2³²`.
+/// Generators and the snapshot decoder reject larger counts instead of wrapping ids.
+pub const MAX_NODES: u64 = 1 << 32;
+
+/// Rejects client or server counts above [`MAX_NODES`], naming the offending side.
+pub(crate) fn check_id_space(num_clients: u64, num_servers: u64) -> Result<(), String> {
+    for (side, count) in [("clients", num_clients), ("servers", num_servers)] {
+        if count > MAX_NODES {
+            return Err(format!(
+                "{count} {side} exceed the u32 id space of {MAX_NODES}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Identifier of a client (index into the client side of a [`crate::BipartiteGraph`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]

@@ -5,8 +5,9 @@
 //! allowed to send requests to server `u` (proximity / trust constraint). This crate
 //! provides:
 //!
-//! * [`BipartiteGraph`] — an immutable, cache-friendly CSR representation with adjacency
-//!   in *both* directions (client → servers and server → clients);
+//! * [`BipartiteGraph`] — an immutable, cache-friendly CSR representation of the
+//!   client → servers adjacency (the only direction a protocol reads), plus server
+//!   degrees;
 //! * [`builder::GraphBuilder`] — incremental construction from edge lists with
 //!   validation and de-duplication;
 //! * [`generators`] — every topology family used by the experiments in DESIGN.md §5:
@@ -17,7 +18,8 @@
 //!   (`Δ_min(C) ≥ η·log²n`, `Δ_max(S)/Δ_min(C) ≤ ρ`);
 //! * [`spec`] — a serde-serializable [`spec::GraphSpec`] describing a topology so
 //!   experiments can be configured from data;
-//! * [`snapshot`] — a compact binary snapshot format for caching generated graphs.
+//! * [`snapshot`] — a compact binary snapshot format that ships generated graphs to
+//!   shard worker processes.
 //!
 //! # Example
 //!
@@ -40,7 +42,6 @@
 
 pub mod bipartite;
 pub mod builder;
-pub mod connectivity;
 pub mod generators;
 pub mod ids;
 pub mod snapshot;

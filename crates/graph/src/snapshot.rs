@@ -1,11 +1,21 @@
 //! Compact binary snapshots of generated graphs.
 //!
-//! Generating a large Δ-regular graph is much more expensive than running a protocol on
-//! it, so the benchmark harness caches generated topologies. The format is a simple
+//! Snapshots are the form in which a graph crosses a process boundary: the sharded
+//! scenario runner generates each shared graph once in the driver and ships it to its
+//! worker processes inside their manifests. Within one process graphs are shared
+//! directly and never round-trip through this codec. The format is a simple
 //! length-prefixed little-endian encoding of the edge list built on the `bytes` crate;
 //! it is deliberately independent of the in-memory CSR layout so the format stays stable
 //! even if the internal representation changes.
+//!
+//! [`decode`] validates the header before it allocates: client and server counts above
+//! [`MAX_NODES`](crate::ids::MAX_NODES) (the `u32` id space) and edge counts longer than the input are
+//! rejected as corrupt. A header within those limits can still make the decoder
+//! allocate per-node arrays far larger than the input (8 bytes per declared client or
+//! server); bounding every allocation by the input length waits for snapshot v2, whose
+//! CSR-native layout carries one degree per node.
 
+use crate::ids::check_id_space;
 use crate::{bipartite::BipartiteGraph, GraphError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -55,8 +65,10 @@ pub fn decode(mut data: &[u8]) -> Result<BipartiteGraph> {
         )));
     }
     need(data, 24, "header")?;
-    let num_clients = data.get_u64_le() as usize;
-    let num_servers = data.get_u64_le() as usize;
+    let num_clients = data.get_u64_le();
+    let num_servers = data.get_u64_le();
+    check_id_space(num_clients, num_servers).map_err(GraphError::CorruptSnapshot)?;
+    let (num_clients, num_servers) = (num_clients as usize, num_servers as usize);
     let num_edges = data.get_u64_le() as usize;
     need(data, num_edges.saturating_mul(8), "edge list")?;
     let mut edges = Vec::with_capacity(num_edges);
@@ -78,6 +90,7 @@ pub fn decode(mut data: &[u8]) -> Result<BipartiteGraph> {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::ids::MAX_NODES;
 
     #[test]
     fn round_trip_preserves_graph() {
@@ -137,6 +150,33 @@ mod tests {
             decode(&bytes),
             Err(GraphError::CorruptSnapshot(_))
         ));
+    }
+
+    /// A 32-byte snapshot of an edgeless graph with the given header counts.
+    fn header_only(num_clients: u64, num_servers: u64) -> Vec<u8> {
+        let mut bytes = encode(&BipartiteGraph::from_edges(0, 0, &[]).unwrap()).to_vec();
+        bytes[8..16].copy_from_slice(&num_clients.to_le_bytes());
+        bytes[16..24].copy_from_slice(&num_servers.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn counts_beyond_the_id_space_rejected_before_allocation() {
+        // u64::MAX clients used to overflow the degree array's capacity; 2^36 clients
+        // requested a 512 GiB allocation. Both are corrupt, on either side.
+        for huge in [u64::MAX, 1 << 36, MAX_NODES + 1] {
+            for (clients, servers) in [(huge, 1), (1, huge)] {
+                assert!(
+                    matches!(
+                        decode(&header_only(clients, servers)),
+                        Err(GraphError::CorruptSnapshot(_))
+                    ),
+                    "{clients} clients, {servers} servers"
+                );
+            }
+        }
+        let g = decode(&header_only(3, 2)).unwrap();
+        assert_eq!((g.num_clients(), g.num_servers(), g.num_edges()), (3, 2, 0));
     }
 
     #[test]

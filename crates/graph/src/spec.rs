@@ -109,7 +109,7 @@ impl GraphSpec {
     /// two specs produce the same key exactly when they compare equal, so
     /// `(cache_key, seed)` identifies the graph [`GraphSpec::build`] returns.
     ///
-    /// The experiment runner keys its graph-snapshot cache on this (`GraphSpec`
+    /// The experiment runner keys its graph cache on this (`GraphSpec`
     /// deliberately does not implement `Hash`/`Eq` because of its `f64` parameters;
     /// the derived `Debug` rendering round-trips finite floats exactly). The only
     /// divergences from `PartialEq` are the f64 edge cases `-0.0` (equal to `0.0` but

@@ -4,22 +4,28 @@
 
 use clb_graph::{generators, snapshot, BipartiteGraph, DegreeStats, GraphBuilder};
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 /// Checks the structural invariants every graph in this codebase must satisfy.
 fn assert_well_formed(g: &BipartiteGraph) {
-    // Mirror symmetry of the two CSR directions and absence of duplicates.
+    // Sorted, duplicate-free client lists, and server degrees that count the client
+    // lists containing each server.
     let mut edge_count = 0usize;
+    let mut holders = vec![0usize; g.num_servers()];
     for c in g.clients() {
         let neigh = g.client_neighbors(c);
-        let set: HashSet<_> = neigh.iter().collect();
-        assert_eq!(set.len(), neigh.len(), "duplicate edges at {c}");
+        assert!(
+            neigh.windows(2).all(|w| w[0] < w[1]),
+            "unsorted or duplicate edges at {c}"
+        );
         for &s in neigh {
-            assert!(g.server_neighbors(s).contains(&c));
+            holders[s.index()] += 1;
             edge_count += 1;
         }
     }
     assert_eq!(edge_count, g.num_edges());
+    for s in g.servers() {
+        assert_eq!(g.server_degree(s), holders[s.index()], "degree of {s}");
+    }
     let degree_sum: usize = g.servers().map(|s| g.server_degree(s)).sum();
     assert_eq!(degree_sum, g.num_edges());
 }
