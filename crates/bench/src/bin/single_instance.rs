@@ -91,7 +91,7 @@ fn run_point(graph: &BipartiteGraph, warm: &BipartiteGraph, threads: usize) -> P
 
 /// One ball per client against SAER with c·d = 48: total capacity 1.5n, so the
 /// instance drains in a handful of rounds with every phase of `step()` loaded.
-fn build_sim(graph: &BipartiteGraph) -> Simulation<'_, Box<dyn ErasedProtocol>> {
+fn build_sim(graph: &BipartiteGraph) -> Simulation<'_> {
     Simulation::builder(graph)
         .protocol(ProtocolSpec::Saer { c: 24, d: 2 }.build())
         .demand(Demand::Constant(1))

@@ -1,5 +1,4 @@
-//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`) and the Criterion
-//! benches.
+//! Shared plumbing for the experiment binaries (`src/bin/exp_*.rs`).
 //!
 //! Every experiment in DESIGN.md §5 has a binary in `src/bin/` that regenerates it and
 //! prints a markdown table. The binaries are written against the scenario runner in

@@ -188,7 +188,7 @@ impl ExperimentConfig {
     /// the config/outcome correspondence recorded in [`TrialOutcome`].
     pub fn run_trial_on(&self, graph: &clb_graph::BipartiteGraph, seed: u64) -> TrialOutcome {
         let protocol = match &self.faults {
-            Some(plan) => self.protocol.build_with(|inner| plan.wrap(inner, seed)),
+            Some(plan) => plan.wrap(self.protocol.build(), seed),
             None => self.protocol.build(),
         };
         let config = SimConfig {

@@ -9,10 +9,11 @@
 //! * [`protocol::Protocol`] — the small trait a protocol implements: per-server state
 //!   plus the threshold rule deciding how many of a round's incoming requests to accept.
 //!   SAER, RAES and the baselines live in the `clb-protocols` crate.
-//! * [`erased::ErasedProtocol`] — the object-safe mirror of [`Protocol`]: any protocol
-//!   can be boxed behind `Box<dyn ErasedProtocol>` (which itself implements
-//!   [`Protocol`]) and picked at runtime, while running through the very same
-//!   [`Simulation`] hot loop with bit-identical results.
+//! * [`erased::ErasedProtocol`] — the object-safe core the engine drives every protocol
+//!   through, with one call per phase per round over one typed state `Vec`. A blanket
+//!   impl lifts any [`Protocol`] into it, so a protocol picked at runtime as a
+//!   `Box<dyn ErasedProtocol>` and a concrete one handed to the builder run the same
+//!   code with bit-identical results.
 //! * [`Simulation`] — executes rounds: every alive ball picks destination servers
 //!   uniformly at random from its owner's neighbourhood (symmetric, non-adaptive),
 //!   servers apply the protocol's threshold rule, and accepted balls settle. The
@@ -124,7 +125,7 @@ pub mod workload;
 
 pub use config::SimConfig;
 pub use demand::Demand;
-pub use erased::{erase, ErasedProtocol, ErasedServerState};
+pub use erased::{erase, DecideHook, DecidePhase, ErasedProtocol, ServerStates};
 pub use observe::{
     AliveBallsObserver, BurnedFractionObserver, MaxLoadObserver, NeighborhoodMassObserver,
     Observer, RoundView, TrajectoryObserver,

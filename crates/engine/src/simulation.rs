@@ -29,8 +29,9 @@
 use crate::{
     config::SimConfig,
     demand::Demand,
+    erased::{DecidePhase, ErasedProtocol, ServerStates},
     observe::{AnyObserver, Observer, RoundView},
-    protocol::{Protocol, ServerCtx, SettleRule},
+    protocol::{ServerCtx, SettleRule},
     workload::OnlineWorkload,
 };
 use clb_graph::{BipartiteGraph, ClientId};
@@ -166,9 +167,10 @@ struct RoundBuffers {
     /// Per-server release tally; kept all-zero between rounds (the aggregation resets
     /// every slot it touched). Empty when `choices == 1`.
     release_count: Vec<u32>,
-    /// Servers with at least one release this round; sorted so releases are applied
-    /// in ascending server order. Empty when `choices == 1`.
-    touched_servers: Vec<u32>,
+    /// `(server, release total)` for every server with at least one release this
+    /// round, sorted so releases are applied in ascending server order. Empty when
+    /// `choices == 1`.
+    touched_servers: Vec<(u32, u32)>,
     /// Per-piece server histograms for the parallel sort, piece-major
     /// (`piece_hist[k * S + s]`). Empty when `plan.sort == 1`.
     piece_hist: Vec<u32>,
@@ -509,6 +511,104 @@ struct CensusPiece<'a, S> {
     max_load: u32,
 }
 
+/// Phase 2 over carved server ranges, the kernel behind
+/// [`ErasedProtocol::erased_decide`]: `rule` decides for every server with incoming
+/// requests, in ascending order within a piece. Each decision touches only its own
+/// server's state, load and accept count, so the pieces are disjoint.
+pub(crate) fn decide_pieces<S: Send>(
+    states: &mut [S],
+    phase: DecidePhase<'_>,
+    rule: impl Fn(&mut S, &ServerCtx) -> u32 + Sync,
+) {
+    let (incoming, pieces, round) = (phase.incoming, phase.pieces, phase.round);
+    let mut descs: [Option<DecidePiece<S>>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
+    let mut states_rest = states;
+    let mut loads_rest = phase.loads;
+    let mut accept_rest = phase.accept;
+    let mut consumed = 0;
+    for (k, slot) in descs[..pieces].iter_mut().enumerate() {
+        let hi = piece_range(incoming.len(), pieces, k).end;
+        let take = hi - consumed;
+        let (states, rest) = std::mem::take(&mut states_rest).split_at_mut(take);
+        states_rest = rest;
+        let (loads, rest) = std::mem::take(&mut loads_rest).split_at_mut(take);
+        loads_rest = rest;
+        let (accept, rest) = std::mem::take(&mut accept_rest).split_at_mut(take);
+        accept_rest = rest;
+        *slot = Some(DecidePiece {
+            server_lo: consumed,
+            states,
+            loads,
+            incoming: &incoming[consumed..hi],
+            accept,
+        });
+        consumed = hi;
+    }
+    drive_pieces(&mut descs[..pieces], |p| {
+        for i in 0..p.incoming.len() {
+            let incoming = p.incoming[i];
+            if incoming == 0 {
+                continue;
+            }
+            let ctx = ServerCtx {
+                server: (p.server_lo + i) as u32,
+                round,
+                current_load: p.loads[i],
+                incoming,
+            };
+            let accept = rule(&mut p.states[i], &ctx).min(incoming);
+            p.loads[i] += accept;
+            p.accept[i] = accept;
+        }
+    });
+}
+
+/// The census over carved server ranges, the kernel behind
+/// [`ErasedProtocol::erased_census`]: closed flags, closed count and max load in one
+/// pass, reduced in piece-index order.
+pub(crate) fn census_pieces<S: Sync>(
+    states: &[S],
+    loads: &[u32],
+    closed: &mut [bool],
+    pieces: usize,
+    is_closed: impl Fn(&S, u32) -> bool + Sync,
+) -> (u64, u32) {
+    let mut descs: [Option<CensusPiece<S>>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
+    let mut closed_rest = closed;
+    let mut consumed = 0;
+    for (k, slot) in descs[..pieces].iter_mut().enumerate() {
+        let hi = piece_range(loads.len(), pieces, k).end;
+        let (closed, rest) = std::mem::take(&mut closed_rest).split_at_mut(hi - consumed);
+        closed_rest = rest;
+        *slot = Some(CensusPiece {
+            states: &states[consumed..hi],
+            loads: &loads[consumed..hi],
+            closed,
+            closed_count: 0,
+            max_load: 0,
+        });
+        consumed = hi;
+    }
+    drive_pieces(&mut descs[..pieces], |p| {
+        let mut count = 0u64;
+        let mut max = 0u32;
+        for ((flag, state), &load) in p.closed.iter_mut().zip(p.states).zip(p.loads) {
+            let closed = is_closed(state, load);
+            *flag = closed;
+            count += u64::from(closed);
+            max = max.max(load);
+        }
+        p.closed_count = count;
+        p.max_load = max;
+    });
+    descs[..pieces]
+        .iter()
+        .flatten()
+        .fold((0, 0), |(total, max), p| {
+            (total + p.closed_count, max.max(p.max_load))
+        })
+}
+
 /// Fluent constructor for [`Simulation`], obtained from [`Simulation::builder`].
 ///
 /// The graph and the protocol are required; demand defaults to `Constant(1)`, the seed
@@ -537,9 +637,9 @@ struct CensusPiece<'a, S> {
 /// let result = sim.run();
 /// assert_eq!(sim.observer::<MaxLoadObserver>().unwrap().max_load, result.max_load);
 /// ```
-pub struct SimulationBuilder<'g, P: Protocol> {
+pub struct SimulationBuilder<'g> {
     graph: &'g BipartiteGraph,
-    protocol: Option<P>,
+    protocol: Option<Box<dyn ErasedProtocol>>,
     demand: Demand,
     config: SimConfig,
     observers: Vec<Box<dyn AnyObserver + Send>>,
@@ -547,7 +647,7 @@ pub struct SimulationBuilder<'g, P: Protocol> {
     workload: Option<OnlineWorkload>,
 }
 
-impl<'g, P: Protocol> SimulationBuilder<'g, P> {
+impl<'g> SimulationBuilder<'g> {
     fn new(graph: &'g BipartiteGraph) -> Self {
         Self {
             graph,
@@ -560,9 +660,10 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
         }
     }
 
-    /// Sets the protocol (required).
-    pub fn protocol(mut self, protocol: P) -> Self {
-        self.protocol = Some(protocol);
+    /// Sets the protocol (required): a concrete [`Protocol`](crate::Protocol), or a
+    /// `Box<dyn ErasedProtocol>` chosen at runtime.
+    pub fn protocol(mut self, protocol: impl Into<Box<dyn ErasedProtocol>>) -> Self {
+        self.protocol = Some(protocol.into());
         self
     }
 
@@ -625,9 +726,10 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
     /// Panics if no protocol was set, if a client with a non-empty demand has an empty
     /// neighbourhood (its balls could never be placed, so the run would trivially never
     /// complete), if the demand is inconsistent with the graph (see
-    /// [`Demand::materialize`]), or if the system is vacuous — zero demand and no
+    /// [`Demand::materialize`]), if the demand or the online workload exceeds the
+    /// engine's 2^32 - 1 ball ids, or if the system is vacuous — zero demand and no
     /// online workload supplying arrivals.
-    pub fn build(self) -> Simulation<'g, P> {
+    pub fn build(self) -> Simulation<'g> {
         let protocol = self
             .protocol
             .expect("SimulationBuilder: a protocol is required");
@@ -645,7 +747,9 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
                     "client {c} has {balls} balls but no admissible server"
                 );
             }
-            acc += balls;
+            acc = acc.checked_add(balls).unwrap_or_else(|| {
+                panic!("demand overflows the engine's 2^32 - 1 ball-id limit at client {c}")
+            });
             ball_offsets.push(acc);
         }
         let initial_balls = acc as usize;
@@ -705,10 +809,8 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
             total_balls > 0,
             "simulation has no balls: the demand is zero and no online workload supplies arrivals"
         );
-        let server_states = (0..graph.num_servers())
-            .map(|_| protocol.init_server())
-            .collect();
-        let choices = protocol.choices_per_round().max(1);
+        let server_states = protocol.erased_init_states(graph.num_servers());
+        let choices = protocol.erased_choices_per_round().max(1);
         let request_capacity = checked_request_count(total_balls, choices);
         let plan = PiecePlan::for_sizes(
             request_capacity,
@@ -716,22 +818,32 @@ impl<'g, P: Protocol> SimulationBuilder<'g, P> {
             total_balls,
             self.intra_pieces,
         );
-        let buffers = RoundBuffers::new(graph.num_servers(), total_balls, choices, plan);
+        let mut buffers = RoundBuffers::new(graph.num_servers(), total_balls, choices, plan);
+        let server_load = vec![0; graph.num_servers()];
+        // The census of the fresh states is what `result()` reports before round 1.
+        let (last_closed_servers, last_max_load) = protocol.erased_census(
+            &*server_states,
+            &server_load,
+            &mut buffers.closed,
+            plan.server,
+        );
         Simulation {
             graph,
+            choices,
+            settle_rule: protocol.erased_settle_rule(),
             protocol,
             config,
             factory: StreamFactory::new(config.seed).domain(PROTOCOL_DOMAIN),
             ball_offsets,
             ball_owner,
             ball_assigned: vec![UNASSIGNED; total_balls],
-            server_load: vec![0; graph.num_servers()],
+            server_load,
             server_states,
             round: 0,
             alive_balls: (0..initial_balls as u32).collect(),
             total_messages: 0,
-            last_closed_servers: 0,
-            last_max_load: 0,
+            last_closed_servers,
+            last_max_load,
             in_service: 0,
             online,
             buffers,
@@ -763,20 +875,28 @@ struct OnlineState {
     /// Round each ball settled (0 = not yet settled). Latency of a settled ball is
     /// `settle_round - birth_round + 1`.
     settle_round: Vec<u32>,
-    /// `depart_calendar[t]` holds one entry per ball departing at the start of round
-    /// `t` — the server it releases. Entries are aggregated per server and applied in
+    /// `depart_calendar[t]` holds one `(server, 1)` entry per ball departing at the
+    /// start of round `t`. Entries are merged into per-server totals and applied in
     /// ascending server order, so their push order (piece-index order within a round)
     /// never matters.
-    depart_calendar: Vec<Vec<u32>>,
+    depart_calendar: Vec<Vec<(u32, u32)>>,
 }
 
 /// A protocol run on a fixed graph: owns all mutable state of the process.
 ///
-/// Constructed with [`Simulation::builder`]; works with any [`Protocol`], including the
-/// dyn-dispatched `Box<dyn ErasedProtocol>` from [`crate::erased`].
-pub struct Simulation<'g, P: Protocol> {
+/// Constructed with [`Simulation::builder`]. The protocol is held as a
+/// `Box<dyn ErasedProtocol>` and driven through its per-phase core (see
+/// [`crate::erased`]), whether the builder was given a concrete [`Protocol`] or a
+/// runtime-chosen box.
+///
+/// [`Protocol`]: crate::Protocol
+pub struct Simulation<'g> {
     graph: &'g BipartiteGraph,
-    protocol: P,
+    protocol: Box<dyn ErasedProtocol>,
+    // The protocol's choices per round (at least 1) and settle rule, fixed at build:
+    // the round buffers are sized for this choice count.
+    choices: u32,
+    settle_rule: SettleRule,
     config: SimConfig,
     factory: StreamFactory,
 
@@ -786,14 +906,14 @@ pub struct Simulation<'g, P: Protocol> {
     ball_assigned: Vec<u32>,
 
     server_load: Vec<u32>,
-    server_states: Vec<P::ServerState>,
+    server_states: ServerStates,
 
     round: u32,
     alive_balls: Vec<u32>,
     total_messages: u64,
 
-    // Census cache written by the round's closed/max fold; valid once `round > 0`,
-    // so `result()` never re-scans the servers after a round has run.
+    // The last census (closed count, max load): the round's, or the build's before
+    // round 1, so `result()` never re-scans the servers.
     last_closed_servers: u64,
     last_max_load: u32,
 
@@ -806,9 +926,9 @@ pub struct Simulation<'g, P: Protocol> {
     observers: Vec<Box<dyn AnyObserver + Send>>,
 }
 
-impl<'g, P: Protocol> Simulation<'g, P> {
+impl<'g> Simulation<'g> {
     /// Starts building a simulation on `graph`.
-    pub fn builder(graph: &'g BipartiteGraph) -> SimulationBuilder<'g, P> {
+    pub fn builder(graph: &'g BipartiteGraph) -> SimulationBuilder<'g> {
         SimulationBuilder::new(graph)
     }
 
@@ -818,8 +938,8 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     }
 
     /// The protocol instance.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
+    pub fn protocol(&self) -> &dyn ErasedProtocol {
+        &*self.protocol
     }
 
     /// Rounds executed so far.
@@ -876,9 +996,13 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         &self.server_load
     }
 
-    /// Per-server protocol state (e.g. to inspect burned flags after a run).
-    pub fn server_states(&self) -> &[P::ServerState] {
-        &self.server_states
+    /// Per-server protocol states (e.g. to inspect burned flags after a run), or
+    /// `None` if the protocol's `ServerState` type is not `S`. A fault-wrapped run
+    /// exposes its inner protocol's states.
+    pub fn server_states<S: Any>(&self) -> Option<&[S]> {
+        self.server_states
+            .downcast_ref::<Vec<S>>()
+            .map(Vec::as_slice)
     }
 
     /// Borrows the first builder-attached observer of concrete type `T`, if any.
@@ -949,31 +1073,20 @@ impl<'g, P: Protocol> Simulation<'g, P> {
     /// The outcome so far (callable at any point; `completed` reflects the current
     /// alive-ball count).
     ///
-    /// Once a round has run this reuses the census the round already folded (closed
-    /// count and max load) instead of re-scanning every server; the cold path below
-    /// only runs for a `result()` call before the first `step()`.
+    /// The closed count and max load come from the last census — the one the last
+    /// round folded, or before round 1 the one `build` took of the fresh states — so
+    /// this never re-scans the servers.
     pub fn result(&self) -> RunResult {
-        let (closed_servers, max_load) = if self.round > 0 {
-            (self.last_closed_servers, self.last_max_load)
-        } else {
-            let closed = self
-                .server_states
-                .iter()
-                .zip(&self.server_load)
-                .filter(|(state, &load)| self.protocol.server_is_closed(state, load))
-                .count() as u64;
-            (closed, self.server_load.iter().copied().max().unwrap_or(0))
-        };
         let completed = self.is_complete();
         RunResult {
             completed,
             hit_round_cap: !completed && self.round >= self.config.max_rounds,
             rounds: self.round,
             total_messages: self.total_messages,
-            max_load,
+            max_load: self.last_max_load,
             unassigned_balls: self.alive_balls.len() as u64 + self.pending_arrivals(),
             total_balls: self.ball_owner.len() as u64,
-            closed_servers,
+            closed_servers: self.last_closed_servers,
         }
     }
 
@@ -985,31 +1098,30 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         let round = self.round;
 
         // Online round prologue — departures, then arrivals, both before any request
-        // of the round is routed. Departures aggregate to at most one
-        // `server_on_depart` call per server, applied in ascending server order (the
-        // same discipline as phase-3 releases); arrivals append to the alive list in
-        // ascending ball-id order. Both orders are pure functions of the schedule, so
-        // the prologue is trivially thread- and piece-independent.
+        // of the round is routed. Departures merge into ascending `(server, count)`
+        // totals, so the protocol sees at most one `server_on_depart` per server, in
+        // ascending server order (the same discipline as phase-3 releases); arrivals
+        // append to the alive list in ascending ball-id order. Both orders are pure
+        // functions of the schedule, so the prologue is trivially thread- and
+        // piece-independent.
         let mut departures = 0u64;
         let mut arrivals = 0u64;
         if let Some(online) = self.online.as_mut() {
             if let Some(due) = online.depart_calendar.get_mut(round as usize) {
                 let mut due = std::mem::take(due);
-                due.sort_unstable();
                 departures = due.len() as u64;
-                let mut i = 0;
-                while i < due.len() {
-                    let server = due[i];
-                    let mut count = 0u32;
-                    while i < due.len() && due[i] == server {
-                        count += 1;
-                        i += 1;
+                due.sort_unstable();
+                due.dedup_by(|later, first| {
+                    let same = later.0 == first.0;
+                    if same {
+                        first.1 += later.1;
                     }
-                    let s = server as usize;
-                    self.server_load[s] -= count;
-                    self.protocol
-                        .server_on_depart(&mut self.server_states[s], count);
+                    same
+                });
+                for &(server, count) in &due {
+                    self.server_load[server as usize] -= count;
                 }
+                self.protocol.erased_depart(&mut *self.server_states, &due);
                 self.in_service -= departures;
             }
             if let Some(&count) = online.arrivals_per_round.get(round as usize - 1) {
@@ -1024,9 +1136,9 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             }
         }
 
-        let choices = self.protocol.choices_per_round().max(1);
+        let choices = self.choices;
         let per_ball = choices as usize;
-        let rule = self.protocol.settle_rule();
+        let rule = self.settle_rule;
         let graph = self.graph;
         let num_servers = graph.num_servers();
         let factory = self.factory;
@@ -1166,60 +1278,23 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             }
         }
 
-        // Phase 2 — per-server threshold decisions over carved server ranges. Each
-        // server's decision touches only its own state, load and accept count, so the
-        // pieces are disjoint; within a piece servers run in ascending order, the same
-        // order the serial loop used.
+        // Phase 2 — per-server threshold decisions over carved server ranges, one call
+        // into the protocol (see `decide_pieces`).
         //
         // Covering invariant for `accept_count`: entries for servers with zero
         // incoming requests stay stale, and phase 3 only reads `accept_count[s]` for
         // `s = request_server[idx]` — a server that received at least one request.
-        {
-            let server_pieces = plan.server;
-            let incoming_all: &[u32] = requests_per_server;
-            let mut descs: [Option<DecidePiece<P::ServerState>>; MAX_INTRA_PIECES] =
-                std::array::from_fn(|_| None);
-            let mut states_rest: &mut [P::ServerState] = &mut self.server_states;
-            let mut loads_rest: &mut [u32] = &mut self.server_load;
-            let mut accept_rest: &mut [u32] = accept_count;
-            let mut consumed = 0;
-            for (k, slot) in descs[..server_pieces].iter_mut().enumerate() {
-                let hi = piece_range(num_servers, server_pieces, k).end;
-                let take = hi - consumed;
-                let (states, rest) = std::mem::take(&mut states_rest).split_at_mut(take);
-                states_rest = rest;
-                let (loads, rest) = std::mem::take(&mut loads_rest).split_at_mut(take);
-                loads_rest = rest;
-                let (accept, rest) = std::mem::take(&mut accept_rest).split_at_mut(take);
-                accept_rest = rest;
-                *slot = Some(DecidePiece {
-                    server_lo: consumed,
-                    states,
-                    loads,
-                    incoming: &incoming_all[consumed..hi],
-                    accept,
-                });
-                consumed = hi;
-            }
-            let protocol = &self.protocol;
-            drive_pieces(&mut descs[..server_pieces], |p| {
-                for i in 0..p.incoming.len() {
-                    let incoming = p.incoming[i];
-                    if incoming == 0 {
-                        continue;
-                    }
-                    let ctx = ServerCtx {
-                        server: (p.server_lo + i) as u32,
-                        round,
-                        current_load: p.loads[i],
-                        incoming,
-                    };
-                    let accept = protocol.server_decide(&mut p.states[i], &ctx).min(incoming);
-                    p.loads[i] += accept;
-                    p.accept[i] = accept;
-                }
-            });
-        }
+        self.protocol.erased_decide(
+            &mut *self.server_states,
+            DecidePhase {
+                round,
+                incoming: requests_per_server,
+                loads: &mut self.server_load,
+                accept: accept_count,
+                pieces: plan.server,
+                hook: None,
+            },
+        );
 
         // Phase 3 — balls settle over carved slot ranges. With a single choice per
         // round each ball has exactly one request; with k choices a ball keeps the
@@ -1300,7 +1375,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
             let max_rounds = self.config.max_rounds;
             let server_load = &mut self.server_load;
             let server_states = &mut self.server_states;
-            let protocol = &self.protocol;
+            let protocol = &*self.protocol;
             rayon::join(
                 || match online {
                     None => {
@@ -1330,7 +1405,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                                         if online.depart_calendar.len() <= due {
                                             online.depart_calendar.resize_with(due + 1, Vec::new);
                                         }
-                                        online.depart_calendar[due].push(packed as u32);
+                                        online.depart_calendar[due].push((packed as u32, 1));
                                     }
                                 }
                             }
@@ -1339,25 +1414,24 @@ impl<'g, P: Protocol> Simulation<'g, P> {
                 },
                 || {
                     // Aggregate surplus releases per server (piece-index order in,
-                    // ascending server order out), then apply each server's total
-                    // with a single `server_on_release` call. `release_count` is
-                    // all-zero on entry and reset to all-zero on the way out.
+                    // ascending server order out), then hand the totals to the
+                    // protocol: one `server_on_release` per server. `release_count`
+                    // is all-zero on entry and reset to all-zero on the way out.
                     for p in descs_done.iter().flatten() {
                         for &server in &p.release_out[..p.counts.released as usize] {
                             if release_count[server as usize] == 0 {
-                                touched_servers.push(server);
+                                touched_servers.push((server, 0));
                             }
                             release_count[server as usize] += 1;
                         }
                     }
                     touched_servers.sort_unstable();
-                    for &server in touched_servers.iter() {
-                        let s = server as usize;
-                        let total = release_count[s];
-                        release_count[s] = 0;
-                        server_load[s] -= total;
-                        protocol.server_on_release(&mut server_states[s], total);
+                    for (server, total) in touched_servers.iter_mut() {
+                        let s = *server as usize;
+                        *total = std::mem::take(&mut release_count[s]);
+                        server_load[s] -= *total;
                     }
+                    protocol.erased_release(&mut **server_states, touched_servers);
                     touched_servers.clear();
                 },
             );
@@ -1366,53 +1440,14 @@ impl<'g, P: Protocol> Simulation<'g, P> {
         self.in_service += balls_assigned;
 
         // Census — closed flags, closed count and max load folded in one pass over
-        // carved server ranges, reduced in piece-index order. The fold is cached so
+        // carved server ranges (see `census_pieces`). The fold is cached so
         // `result()` never re-scans the servers.
-        let (closed_servers, max_load) = {
-            let census_pieces = plan.server;
-            let states_all: &[P::ServerState] = &self.server_states;
-            let loads_all: &[u32] = &self.server_load;
-            let mut descs: [Option<CensusPiece<P::ServerState>>; MAX_INTRA_PIECES] =
-                std::array::from_fn(|_| None);
-            let mut closed_rest: &mut [bool] = closed;
-            let mut consumed = 0;
-            for (k, slot) in descs[..census_pieces].iter_mut().enumerate() {
-                let hi = piece_range(num_servers, census_pieces, k).end;
-                let (closed_piece, rest) =
-                    std::mem::take(&mut closed_rest).split_at_mut(hi - consumed);
-                closed_rest = rest;
-                *slot = Some(CensusPiece {
-                    states: &states_all[consumed..hi],
-                    loads: &loads_all[consumed..hi],
-                    closed: closed_piece,
-                    closed_count: 0,
-                    max_load: 0,
-                });
-                consumed = hi;
-            }
-            let protocol = &self.protocol;
-            drive_pieces(&mut descs[..census_pieces], |p| {
-                let mut count = 0u64;
-                let mut max = 0u32;
-                for ((flag, state), &load) in
-                    p.closed.iter_mut().zip(p.states.iter()).zip(p.loads.iter())
-                {
-                    let is_closed = protocol.server_is_closed(state, load);
-                    *flag = is_closed;
-                    count += u64::from(is_closed);
-                    max = max.max(load);
-                }
-                p.closed_count = count;
-                p.max_load = max;
-            });
-            let mut total = 0u64;
-            let mut max = 0u32;
-            for p in descs[..census_pieces].iter().flatten() {
-                total += p.closed_count;
-                max = max.max(p.max_load);
-            }
-            (total, max)
-        };
+        let (closed_servers, max_load) = self.protocol.erased_census(
+            &*self.server_states,
+            &self.server_load,
+            closed,
+            plan.server,
+        );
         self.last_closed_servers = closed_servers;
         self.last_max_load = max_load;
 
@@ -1435,6 +1470,7 @@ impl<'g, P: Protocol> Simulation<'g, P> {
 mod tests {
     use super::*;
     use crate::observe::MaxLoadObserver;
+    use crate::protocol::Protocol;
     use clb_graph::generators;
 
     /// Servers accept everything: classic one-choice.
@@ -1571,6 +1607,33 @@ mod tests {
     }
 
     #[test]
+    fn result_before_the_first_round_reports_the_build_census() {
+        /// Servers that are closed before they see a single request.
+        struct ClosedFromStart;
+        impl Protocol for ClosedFromStart {
+            type ServerState = ();
+            fn init_server(&self) {}
+            fn server_decide(&self, _state: &mut (), _ctx: &ServerCtx) -> u32 {
+                0
+            }
+            fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+                true
+            }
+        }
+        let g = generators::regular_random(16, 4, 2).unwrap();
+        let sim = Simulation::builder(&g)
+            .protocol(ClosedFromStart)
+            .seed(1)
+            .build();
+        let result = sim.result();
+        assert_eq!(
+            (result.rounds, result.closed_servers, result.max_load),
+            (0, 16, 0)
+        );
+        assert!(!result.completed && !result.hit_round_cap);
+    }
+
+    #[test]
     fn step_by_step_matches_run() {
         let g = generators::regular_random(16, 4, 9).unwrap();
         let build = || {
@@ -1612,7 +1675,8 @@ mod tests {
         let total_load: u32 = sim.server_loads().iter().sum();
         assert_eq!(total_load, 8);
         // Protocol state (net accepted) must agree with the engine's load accounting.
-        for (state, load) in sim.server_states().iter().zip(sim.server_loads()) {
+        let states = sim.server_states::<u32>().expect("u32 states");
+        for (state, load) in states.iter().zip(sim.server_loads()) {
             assert_eq!(state, load);
         }
     }
@@ -1733,9 +1797,9 @@ mod tests {
 
     /// Runs step-by-step under a forced piece plan (or the size-derived default for
     /// `None`) and returns everything a caller could observe.
-    fn run_with_pieces<P: Protocol>(
+    fn run_with_pieces(
         g: &clb_graph::BipartiteGraph,
-        protocol: P,
+        protocol: impl Into<Box<dyn ErasedProtocol>>,
         pieces: Option<usize>,
     ) -> (Vec<RoundRecord>, RunResult, Vec<u32>) {
         let mut builder = Simulation::builder(g)
@@ -1794,6 +1858,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "demand overflows the engine's 2^32 - 1 ball-id limit at client 1")]
+    fn demand_beyond_the_ball_id_limit_is_diagnosed() {
+        // u32::MAX + 1 balls wrap the running total; the guard must fire before any
+        // ball array is sized from it.
+        let g = clb_graph::BipartiteGraph::from_edges(2, 1, &[(0, 0), (1, 0)]).unwrap();
+        let _ = Simulation::builder(&g)
+            .protocol(AcceptAll)
+            .demand(Demand::Explicit(vec![u32::MAX, 1]))
+            .build();
+    }
+
+    #[test]
     #[should_panic(expected = "no admissible server")]
     fn isolated_client_with_demand_panics() {
         let g = clb_graph::BipartiteGraph::from_edges(2, 2, &[(0, 0)]).unwrap();
@@ -1807,9 +1883,7 @@ mod tests {
     #[should_panic(expected = "protocol is required")]
     fn builder_requires_a_protocol() {
         let g = generators::regular_random(4, 2, 5).unwrap();
-        let _ = Simulation::<AcceptAll>::builder(&g)
-            .demand(Demand::Constant(1))
-            .build();
+        let _ = Simulation::builder(&g).demand(Demand::Constant(1)).build();
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //! `src/simulation.rs`), so the steady-state count across any number of rounds must be
 //! exactly zero.
 //!
-//! Three execution contexts are pinned:
+//! Four execution contexts are pinned:
 //!
 //! 1. the classic sequential path (`ThreadPool::install(1)` scopes the rayon stub to
 //!    one thread, exactly the pre-pool behaviour),
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
 //!    the parallel sort / decide / settle / census code paths (carved descriptors,
-//!    piece merges, release aggregation) run through the counted window, and
-//! 3. `step()` running *on pool workers* — how `Scenario::run` executes trials.
+//!    piece merges, release aggregation) run through the counted window,
+//! 3. a fault-wrapped protocol in the same scope, at 1 and 8 pieces, so the decide
+//!    loop runs through the adapter's per-server hook, and
+//! 4. `step()` running *on pool workers* — how `Scenario::run` executes trials.
 //!    Since the pool's work-stealing rewrite, nested drives **fan out** from workers
 //!    instead of running sequentially, and fanning out dispatches real jobs: piece
 //!    and result vectors plus a completion latch, allocated on the driving thread.
@@ -29,7 +31,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clb_engine::{Demand, Protocol, ServerCtx, Simulation};
+use clb_engine::{erase, Demand, ErasedProtocol, Protocol, ServerCtx, Simulation};
+use clb_faults::FaultPlan;
 use clb_graph::generators;
 use rayon::prelude::*;
 
@@ -238,6 +241,52 @@ fn round_loop_is_allocation_free_with_forced_intra_pieces() {
             allocations, 0,
             "two-choice step() with 8 intra pieces allocated {allocations} times"
         );
+    });
+}
+
+#[test]
+fn fault_wrapped_round_loop_is_allocation_free() {
+    // A fault-wrapped protocol decides through the adapter's per-server hook: the
+    // fault draws, the hook call and the inner rule must all stay off the heap, on
+    // the fused serial plan and on the forced 8-piece plan alike.
+    let plan = FaultPlan::none()
+        .stragglers(0.1, 0.5)
+        .message_loss(0.05, 0.05);
+    let sequential = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    sequential.install(|| {
+        let regular = generators::regular_random(256, 16, 21).unwrap();
+        let complete = generators::complete(64, 64).unwrap();
+        // Full-size rejected batches every round, then accepts with releases.
+        for two_choice in [false, true] {
+            for pieces in [1, 8] {
+                let (graph, protocol, demand): (_, Box<dyn ErasedProtocol>, _) = if two_choice {
+                    (&complete, erase(TwoChoiceCapacityOne), 1)
+                } else {
+                    (&regular, erase(OpensAt(u32::MAX)), 3)
+                };
+                let mut sim = Simulation::builder(graph)
+                    .protocol(plan.wrap(protocol, 3))
+                    .demand(Demand::Constant(demand))
+                    .seed(3)
+                    .max_rounds(500)
+                    .intra_step_pieces(pieces)
+                    .build();
+                sim.step();
+                let (allocations, ()) = counted(|| {
+                    for _ in 0..10 {
+                        sim.step();
+                    }
+                });
+                assert!(!sim.is_complete(), "every counted round must do work");
+                assert_eq!(
+                    allocations, 0,
+                    "fault-wrapped step() with {pieces} pieces allocated {allocations} times"
+                );
+            }
+        }
     });
 }
 

@@ -48,9 +48,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use clb_engine::{erase, ErasedProtocol, ErasedServerState, Protocol, ServerCtx};
+use clb_engine::{DecideHook, DecidePhase, ErasedProtocol, ServerCtx, ServerStates, SettleRule};
 use clb_rng::{Binomial, RandomSource, StreamFactory};
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 
 /// The [`StreamFactory`] domain tag reserved for fault draws (`b"flts"`), distinct from
 /// the engine's protocol-execution domain so faults never correlate with ball routing.
@@ -312,7 +313,7 @@ impl FaultPlan {
     /// bit-identical to the unwrapped protocol, and always wrapping keeps that identity
     /// continuously under test.
     pub fn wrap(&self, inner: Box<dyn ErasedProtocol>, seed: u64) -> Box<dyn ErasedProtocol> {
-        erase(FaultAdapter::new(inner, *self, seed))
+        Box::new(FaultAdapter::new(inner, *self, seed))
     }
 
     /// How many of `num_servers` servers survive (did not crash) a run of `rounds_run`
@@ -334,8 +335,11 @@ impl FaultPlan {
     }
 }
 
-/// A [`Protocol`] that injects the faults of a [`FaultPlan`] around an inner erased
-/// protocol. Built by [`FaultPlan::wrap`]; runs through the engine unchanged.
+/// An [`ErasedProtocol`] that injects the faults of a [`FaultPlan`] around an inner
+/// erased protocol. Built by [`FaultPlan::wrap`]; runs through the engine unchanged.
+///
+/// Every phase is forwarded to the inner protocol, which owns the server states; the
+/// adapter joins the inner decide loop as its [`DecideHook`]. Adapters do not nest.
 ///
 /// Per decision, the fault pipeline is (in order): crash-stop → straggler skip →
 /// request loss (binomial thinning of `incoming`) → load lie (distorted
@@ -368,18 +372,54 @@ impl FaultAdapter {
     }
 }
 
-impl Protocol for FaultAdapter {
-    type ServerState = ErasedServerState;
-
-    fn init_server(&self) -> ErasedServerState {
-        self.inner.erased_init_server()
+impl ErasedProtocol for FaultAdapter {
+    fn erased_init_states(&self, num_servers: usize) -> ServerStates {
+        self.inner.erased_init_states(num_servers)
     }
 
-    fn choices_per_round(&self) -> u32 {
+    fn erased_choices_per_round(&self) -> u32 {
         self.inner.erased_choices_per_round()
     }
 
-    fn server_decide(&self, state: &mut ErasedServerState, ctx: &ServerCtx) -> u32 {
+    fn erased_settle_rule(&self) -> SettleRule {
+        self.inner.erased_settle_rule()
+    }
+
+    fn erased_name(&self) -> String {
+        format!("{}+faults[{}]", self.inner.erased_name(), self.plan.label())
+    }
+
+    fn erased_depart(&self, states: &mut dyn Any, totals: &[(u32, u32)]) {
+        // Departures are ground truth (the ball really left), not a message a fault
+        // could drop, so the adapter forwards them untouched.
+        self.inner.erased_depart(states, totals);
+    }
+
+    fn erased_decide(&self, states: &mut dyn Any, phase: DecidePhase<'_>) {
+        assert!(phase.hook.is_none(), "fault adapters do not nest");
+        let hook = Some(self as &dyn DecideHook);
+        self.inner
+            .erased_decide(states, DecidePhase { hook, ..phase });
+    }
+
+    fn erased_release(&self, states: &mut dyn Any, totals: &[(u32, u32)]) {
+        self.inner.erased_release(states, totals);
+    }
+
+    fn erased_census(
+        &self,
+        states: &dyn Any,
+        loads: &[u32],
+        closed: &mut [bool],
+        pieces: usize,
+    ) -> (u64, u32) {
+        self.inner.erased_census(states, loads, closed, pieces)
+    }
+}
+
+/// The fault pipeline, run per server around the inner protocol's rule.
+impl DecideHook for FaultAdapter {
+    fn decide(&self, ctx: &ServerCtx, rule: &mut dyn FnMut(&ServerCtx) -> u32) -> u32 {
         let server = ctx.server as u64;
         if let Some(crash) = &self.plan.crash {
             if crash.applies(&self.faults, server, ctx.round) {
@@ -416,10 +456,7 @@ impl Protocol for FaultAdapter {
             current_load,
             incoming,
         };
-        let mut accepted = self
-            .inner
-            .erased_server_decide(state, &inner_ctx)
-            .min(incoming);
+        let mut accepted = rule(&inner_ctx).min(incoming);
         if let Some(loss) = &self.plan.message_loss {
             if loss.accept_p > 0.0 && accepted > 0 {
                 let mut stream = self.faults.stream3(server, ACC_LOSS, ctx.round as u64);
@@ -428,28 +465,6 @@ impl Protocol for FaultAdapter {
             }
         }
         accepted
-    }
-
-    fn server_is_closed(&self, state: &ErasedServerState, current_load: u32) -> bool {
-        self.inner.erased_server_is_closed(state, current_load)
-    }
-
-    fn server_on_release(&self, state: &mut ErasedServerState, count: u32) {
-        self.inner.erased_server_on_release(state, count);
-    }
-
-    fn settle_rule(&self) -> clb_engine::SettleRule {
-        self.inner.erased_settle_rule()
-    }
-
-    fn server_on_depart(&self, state: &mut ErasedServerState, count: u32) {
-        // Departures are ground truth (the ball really left), not a message a fault
-        // could drop, so the adapter forwards them untouched.
-        self.inner.erased_server_on_depart(state, count);
-    }
-
-    fn name(&self) -> String {
-        format!("{}+faults[{}]", self.inner.erased_name(), self.plan.label())
     }
 }
 
@@ -697,9 +712,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fault adapters do not nest")]
+    fn nested_adapters_are_rejected() {
+        let plan = FaultPlan::none().crash(5, 0.25);
+        let inner = plan.wrap(ProtocolSpec::Saer { c: 8, d: 2 }.build(), 1);
+        let _ = run(&graph(), plan.wrap(inner, 1), 1);
+    }
+
+    #[test]
     fn adapter_name_carries_the_plan() {
         let plan = FaultPlan::none().crash(5, 0.25);
         let adapter = FaultAdapter::new(ProtocolSpec::OneShot.build(), plan, 1);
-        assert_eq!(adapter.name(), "one-shot+faults[crash(r5,25%)]");
+        assert_eq!(adapter.erased_name(), "one-shot+faults[crash(r5,25%)]");
     }
 }

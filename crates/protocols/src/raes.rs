@@ -85,7 +85,7 @@ impl Protocol for Raes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Saer;
+    use crate::{Saer, SaerServerState};
     use clb_engine::{Demand, SimConfig, Simulation, TrajectoryObserver};
     use clb_graph::{generators, log2_squared};
 
@@ -168,7 +168,8 @@ mod tests {
             .build();
         let saer_result = saer_sim.run();
         let burned_empty = saer_sim
-            .server_states()
+            .server_states::<SaerServerState>()
+            .unwrap()
             .iter()
             .zip(saer_sim.server_loads())
             .filter(|(state, &load)| state.burned && load == 0)

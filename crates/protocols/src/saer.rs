@@ -219,7 +219,7 @@ mod tests {
         // server's load must be at most what it had accepted before burning (≤ cd).
         assert!(result.max_load <= c * d);
         let loads = sim.server_loads();
-        let states = sim.server_states();
+        let states = sim.server_states::<SaerServerState>().unwrap();
         let burned_count = states.iter().filter(|s| s.burned).count();
         for (state, &load) in states.iter().zip(loads) {
             assert!(load as u64 <= protocol.threshold());

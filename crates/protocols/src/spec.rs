@@ -2,10 +2,10 @@
 //!
 //! Experiments are configured from serializable specs: [`ProtocolSpec`] names a protocol
 //! and its parameters, and [`ProtocolSpec::build`] materialises it as a
-//! `Box<dyn ErasedProtocol>` — the object-safe protocol layer of `clb-engine`. The boxed
-//! protocol implements [`Protocol`](clb_engine::Protocol) itself, so it plugs into the
-//! simulation builder exactly like a concrete type and produces bit-identical results
-//! (the `erased_equivalence` integration test pins this down for every variant).
+//! `Box<dyn ErasedProtocol>` — the object-safe core `clb-engine` drives every protocol
+//! through. The simulation builder boxes a concrete protocol the same way, so a built
+//! spec and its directly constructed protocol produce bit-identical results (the
+//! `erased_equivalence` integration test pins this down for every variant).
 //!
 //! This replaces the old hand-maintained `AnyProtocol`/`AnyServerState` enum pair:
 //! adding a protocol no longer means threading a new variant through five dispatch
@@ -66,17 +66,6 @@ impl ProtocolSpec {
         }
     }
 
-    /// Materialises the spec and pipes it through `wrap` — the composition hook for
-    /// adapter layers that decorate an erased protocol (fault injection wraps each
-    /// trial's protocol this way; tracing or accounting shims would slot in the same
-    /// hole). `build_with(|p| p)` is exactly [`ProtocolSpec::build`].
-    pub fn build_with(
-        &self,
-        wrap: impl FnOnce(Box<dyn ErasedProtocol>) -> Box<dyn ErasedProtocol>,
-    ) -> Box<dyn ErasedProtocol> {
-        wrap(self.build())
-    }
-
     /// Every spec variant with the given parameters, for exhaustive sweeps and tests.
     pub fn all_variants(c: u32, d: u32) -> Vec<ProtocolSpec> {
         vec![
@@ -111,7 +100,7 @@ impl ProtocolSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clb_engine::{Demand, Protocol, ServerCtx, Simulation};
+    use clb_engine::{DecidePhase, Demand, Simulation};
     use clb_graph::{generators, log2_squared};
 
     #[test]
@@ -119,33 +108,8 @@ mod tests {
         for spec in ProtocolSpec::all_variants(8, 2) {
             let protocol = spec.build();
             assert!(!spec.label().is_empty());
-            assert_eq!(spec.label(), protocol.name());
+            assert_eq!(spec.label(), protocol.erased_name());
         }
-    }
-
-    #[test]
-    fn build_with_identity_is_build() {
-        let spec = ProtocolSpec::Saer { c: 4, d: 2 };
-        assert_eq!(spec.build_with(|p| p).name(), spec.build().name());
-        // And the hook really does run: wrap with a rename shim.
-        struct Renamed(Box<dyn ErasedProtocol>);
-        impl Protocol for Renamed {
-            type ServerState = clb_engine::ErasedServerState;
-            fn init_server(&self) -> Self::ServerState {
-                self.0.erased_init_server()
-            }
-            fn server_decide(&self, state: &mut Self::ServerState, ctx: &ServerCtx) -> u32 {
-                self.0.erased_server_decide(state, ctx)
-            }
-            fn server_is_closed(&self, state: &Self::ServerState, load: u32) -> bool {
-                self.0.erased_server_is_closed(state, load)
-            }
-            fn name(&self) -> String {
-                format!("renamed:{}", self.0.erased_name())
-            }
-        }
-        let wrapped = spec.build_with(|p| erase(Renamed(p)));
-        assert_eq!(wrapped.name(), "renamed:saer(c=4, d=2)");
     }
 
     #[test]
@@ -177,13 +141,13 @@ mod tests {
         assert_eq!(
             ProtocolSpec::KChoice { k: 3, capacity: 4 }
                 .build()
-                .choices_per_round(),
+                .erased_choices_per_round(),
             3
         );
         assert_eq!(
             ProtocolSpec::Saer { c: 2, d: 2 }
                 .build()
-                .choices_per_round(),
+                .erased_choices_per_round(),
             1
         );
     }
@@ -211,29 +175,43 @@ mod tests {
         }
     }
 
+    /// One round of `incoming` requests at a single server with load 0: the accepted
+    /// count, the closed flag afterwards, and the states.
+    fn one_server_round(
+        protocol: &dyn ErasedProtocol,
+        incoming: u32,
+    ) -> (u32, bool, clb_engine::ServerStates) {
+        let mut states = protocol.erased_init_states(1);
+        let (mut loads, mut accept, mut closed) = ([0], [0], [false]);
+        protocol.erased_decide(
+            &mut *states,
+            DecidePhase {
+                round: 1,
+                incoming: &[incoming],
+                loads: &mut loads,
+                accept: &mut accept,
+                pieces: 1,
+                hook: None,
+            },
+        );
+        protocol.erased_census(&*states, &loads, &mut closed, 1);
+        (accept[0], closed[0], states)
+    }
+
     #[test]
     fn closed_semantics_dispatch_correctly() {
-        let saer = ProtocolSpec::Saer { c: 1, d: 1 }.build();
-        let mut state = saer.init_server();
-        let ctx = ServerCtx {
-            server: 0,
-            round: 1,
-            current_load: 0,
-            incoming: 5,
-        };
-        assert_eq!(saer.server_decide(&mut state, &ctx), 0);
-        assert!(saer.server_is_closed(&state, 0));
-        // The concrete state is reachable through the opaque handle.
-        assert!(
-            state
-                .downcast_ref::<crate::SaerServerState>()
-                .unwrap()
-                .burned
-        );
+        let (accepted, closed, states) =
+            one_server_round(&*ProtocolSpec::Saer { c: 1, d: 1 }.build(), 5);
+        assert_eq!(accepted, 0);
+        assert!(closed);
+        // The concrete states are reachable through the opaque box.
+        let states = states
+            .downcast_ref::<Vec<crate::SaerServerState>>()
+            .unwrap();
+        assert!(states[0].burned);
 
-        let oneshot = ProtocolSpec::OneShot.build();
-        let mut state = oneshot.init_server();
-        assert_eq!(oneshot.server_decide(&mut state, &ctx), 5);
-        assert!(!oneshot.server_is_closed(&state, 1_000_000));
+        let (accepted, closed, _) = one_server_round(&*ProtocolSpec::OneShot.build(), 5);
+        assert_eq!(accepted, 5);
+        assert!(!closed);
     }
 }

@@ -9,6 +9,7 @@
 //! bounds — completion time, work, and maximum load — next to the theoretical horizons.
 
 use clb::prelude::*;
+use clb::protocols::SaerServerState;
 
 fn main() {
     let n = 4096;
@@ -65,7 +66,8 @@ fn main() {
         c * d
     );
 
-    let burned = sim.server_states().iter().filter(|s| s.burned).count();
+    let states: &[SaerServerState] = sim.server_states().expect("SAER states");
+    let burned = states.iter().filter(|s| s.burned).count();
     println!("  burned servers : {burned} of {n}");
 
     // 4. Contrast with the one-shot baseline (servers accept everything).

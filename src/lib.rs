@@ -16,11 +16,11 @@
 //! |-------|----------|
 //! | [`rng`] (`clb-rng`) | splittable deterministic random streams and sampling utilities |
 //! | [`graph`] (`clb-graph`) | bipartite client-server graphs, degree statistics, topology generators |
-//! | [`engine`] (`clb-engine`) | the synchronous round engine (model M), the fluent simulation builder, the object-safe `ErasedProtocol` layer, work accounting, observers |
-//! | [`protocols`] (`clb-protocols`) | SAER, RAES, threshold and k-choice baselines; `ProtocolSpec` for runtime selection |
+//! | [`engine`] (`clb-engine`) | the synchronous round engine (model M), the fluent simulation builder, the object-safe per-phase `ErasedProtocol` core every protocol runs through, work accounting, observers |
+//! | [`protocols`] (`clb-protocols`) | SAER, RAES, threshold, k-choice and JSQ(d) baselines; `ProtocolSpec` for runtime selection |
 //! | [`sequential`] (`clb-sequential`) | sequential one-choice / best-of-k / Godfrey greedy baselines |
 //! | [`analysis`] (`clb-analysis`) | the paper's recurrences, bounds and concentration inequalities; statistics |
-//! | [`faults`] (`clb-faults`) | deterministic fault injection: crash-stop, lying load reports, message loss, stragglers as a protocol wrapper |
+//! | [`faults`] (`clb-faults`) | deterministic fault injection: crash-stop, lying load reports, message loss, stragglers, as an adapter that hooks any protocol's decide loop |
 //! | [`experiment`]/[`scenario`] (`clb-core`) | declarative, parallel, seed-reproducible experiments and parameter sweeps |
 //!
 //! ## Quick start: one simulation

@@ -1,13 +1,18 @@
-//! The object-safe protocol layer must be a zero-cost *semantic* wrapper: a protocol
-//! dispatched through `Box<dyn ErasedProtocol>` runs through the same engine hot loop
-//! as its concrete-typed counterpart and must produce bit-identical results — same
-//! `RunResult`, same per-server loads, same per-client assignments — for every
-//! `ProtocolSpec` variant.
+//! Runtime protocol selection must be a zero-cost *semantic* choice: the engine drives
+//! every protocol through its object-safe core, and a protocol built from a
+//! `ProtocolSpec` must produce bit-identical results to the directly constructed one —
+//! same `RunResult`, same per-server loads, same per-client assignments — for every
+//! `ProtocolSpec` variant. An empty `FaultPlan` wrap must change nothing either.
 
 use clb::prelude::*;
 
 /// Runs one simulation and captures everything observable about the outcome.
-fn run<P: Protocol>(graph: &BipartiteGraph, protocol: P, d: u32, seed: u64) -> Observations {
+fn run(
+    graph: &BipartiteGraph,
+    protocol: impl Into<Box<dyn ErasedProtocol>>,
+    d: u32,
+    seed: u64,
+) -> Observations {
     let mut sim = Simulation::builder(graph)
         .protocol(protocol)
         .demand(Demand::Constant(d))
@@ -29,8 +34,9 @@ struct Observations {
     assignments: Vec<Vec<Option<u32>>>,
 }
 
-/// The concrete-typed run for a spec: the enumeration the erased layer exists to
-/// replace, kept here (and only here) as the ground truth for the equivalence check.
+/// The directly constructed run for a spec: the enumeration `ProtocolSpec::build`
+/// exists to replace, kept here (and only here) as the ground truth for the
+/// equivalence check.
 fn run_concrete(spec: &ProtocolSpec, graph: &BipartiteGraph, d: u32, seed: u64) -> Observations {
     match *spec {
         ProtocolSpec::Saer { c, d: pd } => run(graph, Saer::new(c, pd), d, seed),
@@ -72,14 +78,18 @@ fn dyn_dispatch_is_bit_identical_to_concrete_dispatch_for_every_spec() {
 
 #[test]
 fn double_erasure_changes_nothing() {
-    // Box<dyn ErasedProtocol> implements Protocol, so it can be erased again; the
-    // tower must still run identically.
+    // A box is not a `Protocol`, so the builder's conversion of an already-erased
+    // protocol is the identity, never a second layer: the concrete protocol (erased
+    // once, by the builder) and its boxes (erased by the caller, then passed through
+    // that conversion again) run identically.
     let d = 2;
     let graph = generators::regular_random(64, 16, 5).unwrap();
-    let spec = ProtocolSpec::Saer { c: 4, d };
-    let once = run(&graph, spec.build(), d, 7);
-    let twice = run(&graph, erase(spec.build()), d, 7);
-    assert_eq!(once, twice);
+    let once = run(&graph, Saer::new(4, d), d, 7);
+    assert_eq!(once, run(&graph, erase(Saer::new(4, d)), d, 7));
+    assert_eq!(
+        once,
+        run(&graph, ProtocolSpec::Saer { c: 4, d }.build(), d, 7)
+    );
 }
 
 #[test]
@@ -127,24 +137,28 @@ fn empty_fault_plan_wrap_is_bit_identical_to_no_adapter() {
 
 #[test]
 fn erased_states_expose_concrete_state_for_inspection() {
-    // The burned census of a dyn-dispatched SAER run is reachable through the opaque
-    // state handles and matches the closed-server count the engine reports.
+    // The burned census of a runtime-chosen SAER run — bare or fault-wrapped — is
+    // reachable through the typed state accessor and matches the closed-server count
+    // the engine reports; asking for the wrong state type yields nothing.
     let graph = generators::regular_random(128, log2_squared(128), 2).unwrap();
-    let mut sim = Simulation::builder(&graph)
-        .protocol(ProtocolSpec::Saer { c: 2, d: 2 }.build())
-        .demand(Demand::Constant(2))
-        .seed(13)
-        .build();
-    let result = sim.run();
-    let burned = sim
-        .server_states()
-        .iter()
-        .filter(|state| {
-            state
-                .downcast_ref::<clb::protocols::SaerServerState>()
-                .unwrap()
-                .burned
-        })
-        .count() as u64;
-    assert_eq!(burned, result.closed_servers);
+    let spec = ProtocolSpec::Saer { c: 2, d: 2 };
+    let plan = FaultPlan::none()
+        .stragglers(0.2, 0.5)
+        .message_loss(0.1, 0.1);
+    for protocol in [spec.build(), plan.wrap(spec.build(), 13)] {
+        let mut sim = Simulation::builder(&graph)
+            .protocol(protocol)
+            .demand(Demand::Constant(2))
+            .seed(13)
+            .build();
+        let result = sim.run();
+        assert!(sim.server_states::<u32>().is_none());
+        let states = sim
+            .server_states::<clb::protocols::SaerServerState>()
+            .expect("SAER states");
+        assert_eq!(states.len(), graph.num_servers());
+        let burned = states.iter().filter(|state| state.burned).count() as u64;
+        assert!(burned > 0, "c = 2 burns some servers");
+        assert_eq!(burned, result.closed_servers);
+    }
 }

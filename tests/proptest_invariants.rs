@@ -3,6 +3,7 @@
 //! guarantees the paper's model takes for granted.
 
 use clb::prelude::*;
+use clb::protocols::SaerServerState;
 use proptest::prelude::*;
 
 /// A small but varied space of admissible random-regular instances.
@@ -45,7 +46,7 @@ proptest! {
         prop_assert_eq!(result.total_messages % 2, 0);
 
         // Burned servers really received more than c·d requests.
-        for state in sim.server_states() {
+        for state in sim.server_states::<SaerServerState>().unwrap() {
             if state.burned {
                 prop_assert!(state.received_total > (c * d) as u64);
             } else {

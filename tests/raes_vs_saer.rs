@@ -1,6 +1,7 @@
 //! Corollary 2 and the SAER/RAES relationship, exercised end-to-end.
 
 use clb::prelude::*;
+use clb::protocols::SaerServerState;
 
 /// RAES inherits every Theorem 1 guarantee (Corollary 2).
 #[test]
@@ -95,7 +96,8 @@ fn saer_wastes_capacity_where_raes_does_not() {
 
         // SAER, in this tight regime, burns at least one server below capacity.
         let wasted = saer
-            .server_states()
+            .server_states::<SaerServerState>()
+            .unwrap()
             .iter()
             .zip(saer.server_loads())
             .filter(|(state, &load)| state.burned && load < c * d)
