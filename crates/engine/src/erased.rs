@@ -9,7 +9,7 @@
 //! A blanket impl lifts every [`Protocol`] into this core. The states of all servers
 //! live in one `Vec<P::ServerState>` behind a single `Box<dyn Any>` ([`ServerStates`]);
 //! each phase downcasts it once, then runs the per-server loop as monomorphic code over
-//! the build-time server pieces. An adapter around another protocol (fault injection)
+//! the round's server pieces. An adapter around another protocol (fault injection)
 //! forwards each phase to it and wraps the inner rule per server through a
 //! [`DecideHook`]; unwrapped protocols pass no hook, so their decide loop makes no
 //! dynamic call.
@@ -58,7 +58,7 @@ pub struct DecidePhase<'a> {
     pub loads: &'a mut [u32],
     /// Requests each server accepts, written only for servers with incoming requests.
     pub accept: &'a mut [u32],
-    /// Contiguous server ranges the loop splits into (the build-time piece plan).
+    /// Contiguous server ranges the loop splits into (the round's piece plan).
     pub pieces: usize,
     /// The per-server wrapper an adapter installed around the rule, if any.
     pub hook: Option<&'a dyn DecideHook>,

@@ -19,7 +19,7 @@
 //!   servers apply the protocol's threshold rule, and accepted balls settle. The
 //!   *inside* of a round is parallelised end to end: every phase splits into
 //!   contiguous pieces (request ranges, server ranges, ball-slot ranges) whose
-//!   boundaries depend on problem sizes only — never the thread count — and whose
+//!   boundaries depend on each round's live sizes only — never the thread count — and whose
 //!   results merge in piece-index order, so one simulation with millions of balls
 //!   scales across cores with bit-identical results at every thread count. All
 //!   randomness is derived from per-(ball, round) streams, making the work order
@@ -29,8 +29,9 @@
 //!   (the flat slot-major request buffer phase 1 writes picks into, the rank buffers
 //!   of the three-pass `O(R + P·S)` parallel counting sort that groups requests
 //!   server-major for phase 2, the per-server accept counts, the per-piece settle
-//!   scratch, the closed census and the double-buffered alive-ball list) lives in a
-//!   `RoundBuffers` struct owned by the simulation and sized once at build time —
+//!   scratch, the per-server tally releases and departures drain through, the closed
+//!   census and the double-buffered alive-ball list) lives in a `RoundBuffers` struct
+//!   owned by the simulation and sized once at build time for the largest round —
 //!   piece descriptors live on the stack. See the `simulation` module docs and the
 //!   counting-allocator harness in `tests/alloc_free.rs`.
 //! * [`observe`] — round observers that record the quantities the paper's analysis

@@ -6,17 +6,20 @@
 //! and reused for the whole run ([`RoundBuffers`], owned by [`Simulation`]): the flat
 //! slot-major request buffer phase 1 writes into, the per-request rank buffer the
 //! three-pass counting sort produces, the per-server request counts, accept counts and
-//! closed census the observers read, the per-piece settle scratch, and the
-//! double-buffered alive-ball list. After the buffers are warm (i.e. after
-//! construction), [`Simulation::step`] performs **no heap allocation** — pinned by the
+//! closed census the observers read, the per-piece settle scratch, the per-server
+//! tally that departures and releases drain through, and the double-buffered
+//! alive-ball list. After the buffers are warm (i.e. after construction), a batch
+//! [`Simulation::step`] performs **no heap allocation** — pinned by the
 //! counting-allocator harness in `crates/engine/tests/alloc_free.rs`.
 //!
 //! Every phase of a round is split into contiguous **pieces** (request ranges, server
 //! ranges, ball-slot ranges) that run in parallel and merge in piece-index order, so a
 //! single simulation scales across cores while staying bit-identical at every thread
-//! count. The piece plan ([`PiecePlan`]) is derived from problem sizes alone — never
-//! from the thread count — so the plan (and therefore every intermediate) is a pure
-//! function of `(graph, protocol, seed)`.
+//! count. Each round derives its piece plan ([`PiecePlan`]) from its own live request
+//! and ball counts — never from the thread count — so a small round of an open system
+//! pays for a small plan, and the plan (and therefore every intermediate) is a pure
+//! function of `(graph, protocol, seed)`. The buffers are sized once for the largest
+//! plan the run can need.
 //!
 //! Server-major grouping is rank-based rather than materialized: a three-pass
 //! `O(R + P·S)` computation assigns each request its rank within its destination
@@ -69,12 +72,13 @@ fn piece_range(len: usize, pieces: usize, k: usize) -> Range<usize> {
 
 /// How many pieces each phase of a round is split into.
 ///
-/// Derived from problem sizes only — **never** the thread count — so the piece
-/// boundaries (and every per-piece intermediate) are identical whether the pieces run
-/// on one core or sixteen. Different plans also produce bit-identical results (the
-/// merges are in piece-index order and the per-(ball, round) RNG streams make work
-/// order irrelevant); `intra_step_pieces_do_not_change_results` pins that.
-#[derive(Debug, Clone, Copy)]
+/// Derived per round from that round's live sizes only — **never** the thread count —
+/// so the piece boundaries (and every per-piece intermediate) are identical whether
+/// the pieces run on one core or sixteen. Different plans also produce bit-identical
+/// results (the merges are in piece-index order and the per-(ball, round) RNG streams
+/// make work order irrelevant); `intra_step_pieces_do_not_change_results` pins that,
+/// on inputs whose plan changes between rounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PiecePlan {
     /// Pieces for the three-pass request sort (contiguous request ranges).
     sort: usize,
@@ -85,12 +89,11 @@ struct PiecePlan {
 }
 
 impl PiecePlan {
-    fn for_sizes(
-        request_capacity: usize,
-        num_servers: usize,
-        total_balls: usize,
-        over: Option<usize>,
-    ) -> Self {
+    /// The plan for a round carrying `requests` requests from `balls` alive balls, or
+    /// `over` pieces for every phase when the builder forced a count. Every count is
+    /// monotone in the sizes, so the plan for a run's largest possible round bounds
+    /// every round's plan.
+    fn for_sizes(requests: usize, num_servers: usize, balls: usize, over: Option<usize>) -> Self {
         if let Some(pieces) = over {
             let pieces = pieces.clamp(1, MAX_INTRA_PIECES);
             return Self {
@@ -102,11 +105,11 @@ impl PiecePlan {
         // The parallel sort costs an extra O(sort · S) combine; capping the piece
         // count by R / 4S keeps that overhead under a quarter of the O(R) pass, and
         // drops to a single piece (the fused serial sort) when servers rival requests.
-        let sort = (request_capacity / MIN_SORT_PIECE)
-            .min(request_capacity / (4 * num_servers.max(1)))
+        let sort = (requests / MIN_SORT_PIECE)
+            .min(requests / (4 * num_servers.max(1)))
             .clamp(1, MAX_INTRA_PIECES);
         let server = (num_servers / MIN_SERVER_PIECE).clamp(1, MAX_INTRA_PIECES);
-        let slot = (total_balls / MIN_SLOT_PIECE).clamp(1, MAX_INTRA_PIECES);
+        let slot = (balls / MIN_SLOT_PIECE).clamp(1, MAX_INTRA_PIECES);
         Self { sort, server, slot }
     }
 }
@@ -131,8 +134,9 @@ fn checked_request_count(alive: usize, choices: u32) -> usize {
 
 /// Reusable per-round scratch space, hoisted out of the hot loop.
 ///
-/// Everything a round touches lives here, sized once in [`SimulationBuilder::build`],
-/// so a steady-state round never touches the allocator. The request-indexed buffers
+/// Everything a round touches lives here, sized once in [`SimulationBuilder::build`]
+/// for the run's largest round, so a batch round never touches the allocator (an
+/// online round still grows its departure calendar). The request-indexed buffers
 /// are built at full capacity and *sliced* to the live request count each round — no
 /// `clear()`/`resize()` zero-fill, because the covering passes overwrite every slot
 /// they later read (the invariants are stated at each use site).
@@ -156,7 +160,8 @@ struct RoundBuffers {
     /// Double-buffer swapped with `Simulation::alive_balls` at the end of phase 3.
     alive_next: Vec<u32>,
     /// Per-piece survivor lists (phase 3), concatenated into `alive_next` in
-    /// piece-index order after the join.
+    /// piece-index order after the join; online, each piece's prefix then holds its
+    /// settled balls' service times.
     alive_scratch: Vec<u32>,
     /// Per-piece settled balls (phase 3), packed `(ball << 32) | server`, applied to
     /// `ball_assigned` after the join.
@@ -164,28 +169,45 @@ struct RoundBuffers {
     /// Per-piece released-server lists (phase 3); empty when `choices == 1`, which
     /// can never produce surplus accepts.
     release_scratch: Vec<u32>,
-    /// Per-server release tally; kept all-zero between rounds (the aggregation resets
-    /// every slot it touched). Empty when `choices == 1`.
-    release_count: Vec<u32>,
-    /// `(server, release total)` for every server with at least one release this
-    /// round, sorted so releases are applied in ascending server order. Empty when
-    /// `choices == 1`.
-    touched_servers: Vec<(u32, u32)>,
+    /// Per-server tally that a round's departures and surplus releases each count
+    /// into and [`drain_server_tally`] empties again, so it is all-zero between uses.
+    /// Empty unless `choices > 1` or an online workload is attached.
+    server_tally: Vec<u32>,
+    /// Ascending `(server, total)` pairs drained from `server_tally`: the one shape
+    /// `erased_depart` and `erased_release` take. Holds at most one entry per server,
+    /// so its build-time capacity is never exceeded.
+    server_totals: Vec<(u32, u32)>,
     /// Per-piece server histograms for the parallel sort, piece-major
-    /// (`piece_hist[k * S + s]`). Empty when `plan.sort == 1`.
+    /// (`piece_hist[k * S + s]`); a round with `sort` pieces uses the first
+    /// `sort * S` entries. Empty when no round can have more than one sort piece.
     piece_hist: Vec<u32>,
     /// Exclusive prefix offsets for the parallel sort, server-major
-    /// (`piece_off[s * plan.sort + k]` = requests for server `s` in pieces `< k`).
-    /// Empty when `plan.sort == 1`.
+    /// (`piece_off[s * sort + k]` = requests for server `s` in pieces `< k`), in the
+    /// same first `sort * S` entries. Empty when `piece_hist` is.
     piece_off: Vec<u32>,
-    /// The piece plan, fixed at build time.
-    plan: PiecePlan,
+    /// The builder's `intra_step_pieces` override. Without one, every round takes
+    /// [`PiecePlan::for_sizes`] of its own request and alive-ball counts.
+    forced_pieces: Option<usize>,
 }
 
 impl RoundBuffers {
-    fn new(num_servers: usize, total_balls: usize, choices: u32, plan: PiecePlan) -> Self {
+    /// Sizes every buffer for the run's largest round: all `total_balls` alive at
+    /// once, each sending `choices` requests. `tallies` asks for the server tally.
+    fn new(
+        num_servers: usize,
+        total_balls: usize,
+        choices: u32,
+        tallies: bool,
+        forced_pieces: Option<usize>,
+    ) -> Self {
         let request_capacity = checked_request_count(total_balls, choices);
-        let k_choice = choices > 1;
+        let largest =
+            PiecePlan::for_sizes(request_capacity, num_servers, total_balls, forced_pieces);
+        let sort_cells = if largest.sort > 1 {
+            largest.sort * num_servers
+        } else {
+            0
+        };
         Self {
             request_server: vec![0; request_capacity],
             request_rank: vec![0; request_capacity],
@@ -195,32 +217,34 @@ impl RoundBuffers {
             alive_next: Vec::with_capacity(total_balls),
             alive_scratch: vec![0; total_balls],
             assigned_scratch: vec![0; total_balls],
-            release_scratch: if k_choice {
+            release_scratch: if choices > 1 {
                 vec![0; request_capacity]
             } else {
                 Vec::new()
             },
-            release_count: if k_choice {
+            server_tally: if tallies {
                 vec![0; num_servers]
             } else {
                 Vec::new()
             },
-            touched_servers: Vec::with_capacity(if k_choice {
-                num_servers.min(request_capacity)
-            } else {
-                0
-            }),
-            piece_hist: if plan.sort > 1 {
-                vec![0; plan.sort * num_servers]
-            } else {
-                Vec::new()
-            },
-            piece_off: if plan.sort > 1 {
-                vec![0; plan.sort * num_servers]
-            } else {
-                Vec::new()
-            },
-            plan,
+            server_totals: Vec::with_capacity(if tallies { num_servers } else { 0 }),
+            piece_hist: vec![0; sort_cells],
+            piece_off: vec![0; sort_cells],
+            forced_pieces,
+        }
+    }
+}
+
+/// Drains a per-server tally into ascending `(server, count)` totals in one pass over
+/// the servers, subtracting each count from its server's load and leaving the tally
+/// all-zero. Departures and surplus releases both reach the protocol through it, one
+/// entry per server in ascending order, whatever order they were counted in.
+fn drain_server_tally(tally: &mut [u32], loads: &mut [u32], totals: &mut Vec<(u32, u32)>) {
+    totals.clear();
+    for (server, (count, load)) in tally.iter_mut().zip(loads).enumerate() {
+        if *count != 0 {
+            *load -= *count;
+            totals.push((server as u32, std::mem::take(count)));
         }
     }
 }
@@ -692,9 +716,10 @@ impl<'g> SimulationBuilder<'g> {
     }
 
     /// Overrides the intra-round piece plan (clamped to `1..=32` pieces for every
-    /// phase). The plan is normally derived from problem sizes alone, so small
-    /// instances run the fused serial path; this override forces the parallel code
-    /// paths regardless of size. Results are **bit-identical for every setting** —
+    /// phase, in every round). Each round normally derives its plan from its own live
+    /// request and ball counts, so small rounds run the fused serial path; this
+    /// override forces the parallel code paths regardless of size. Results are
+    /// **bit-identical for every setting** —
     /// the override exists so tests and benchmarks can exercise the parallel path on
     /// instances small enough to check exhaustively.
     pub fn intra_step_pieces(mut self, pieces: usize) -> Self {
@@ -753,17 +778,11 @@ impl<'g> SimulationBuilder<'g> {
             ball_offsets.push(acc);
         }
         let initial_balls = acc as usize;
-        let mut ball_owner = vec![0u32; initial_balls];
-        for c in 0..n {
-            for b in ball_offsets[c]..ball_offsets[c + 1] {
-                ball_owner[b as usize] = c as u32;
-            }
-        }
 
         // Online workload: materialize the whole arrival schedule and every arriving
         // ball's owner up front. Ball ids, owners and per-round counts become pure
         // functions of `(seed, workload)` fixed before the first round runs, and the
-        // round buffers can be sized once for the system's lifetime total.
+        // per-ball arrays can be sized once for the system's lifetime total.
         let online = self.workload.map(|workload| {
             if let Err(msg) = workload.validate() {
                 panic!("SimulationBuilder: invalid online workload: {msg}");
@@ -778,18 +797,6 @@ impl<'g> SimulationBuilder<'g> {
                      {initial_balls} initial balls + {total_arrivals} arrivals"
                 ),
             };
-            let eligible: Vec<u32> = (0..n)
-                .filter(|&c| graph.client_degree(ClientId::new(c)) > 0)
-                .map(|c| c as u32)
-                .collect();
-            assert!(
-                total_arrivals == 0 || !eligible.is_empty(),
-                "online workload has arrivals but no client has an admissible server"
-            );
-            for ball in initial_balls as u64..capacity as u64 {
-                let owner = eligible[workload.owner_index(config.seed, ball, eligible.len())];
-                ball_owner.push(owner);
-            }
             let mut birth_round = vec![1u32; initial_balls];
             birth_round.resize(capacity, 0);
             OnlineState {
@@ -803,29 +810,56 @@ impl<'g> SimulationBuilder<'g> {
                 depart_calendar: Vec::new(),
             }
         });
+        let total_balls = online
+            .as_ref()
+            .map_or(initial_balls, |online| online.settle_round.len());
+        let mut ball_owner = vec![0u32; total_balls];
+        for c in 0..n {
+            for b in ball_offsets[c]..ball_offsets[c + 1] {
+                ball_owner[b as usize] = c as u32;
+            }
+        }
+        if let Some(online) = &online {
+            let eligible: Vec<u32> = (0..n)
+                .filter(|&c| graph.client_degree(ClientId::new(c)) > 0)
+                .map(|c| c as u32)
+                .collect();
+            assert!(
+                online.total_arrivals == 0 || !eligible.is_empty(),
+                "online workload has arrivals but no client has an admissible server"
+            );
+            // One `ARRIVAL_DOMAIN` stream per arriving ball, keyed by its id, so the
+            // owners are the same whichever worker draws them.
+            let (workload, seed) = (&online.workload, config.seed);
+            ball_owner[initial_balls..]
+                .par_iter_mut()
+                .enumerate()
+                .for_each(|(i, owner)| {
+                    let ball = (initial_balls + i) as u64;
+                    *owner = eligible[workload.owner_index(seed, ball, eligible.len())];
+                });
+        }
 
-        let total_balls = ball_owner.len();
         assert!(
             total_balls > 0,
             "simulation has no balls: the demand is zero and no online workload supplies arrivals"
         );
         let server_states = protocol.erased_init_states(graph.num_servers());
         let choices = protocol.erased_choices_per_round().max(1);
-        let request_capacity = checked_request_count(total_balls, choices);
-        let plan = PiecePlan::for_sizes(
-            request_capacity,
+        let mut buffers = RoundBuffers::new(
             graph.num_servers(),
             total_balls,
+            choices,
+            choices > 1 || online.is_some(),
             self.intra_pieces,
         );
-        let mut buffers = RoundBuffers::new(graph.num_servers(), total_balls, choices, plan);
         let server_load = vec![0; graph.num_servers()];
         // The census of the fresh states is what `result()` reports before round 1.
         let (last_closed_servers, last_max_load) = protocol.erased_census(
             &*server_states,
             &server_load,
             &mut buffers.closed,
-            plan.server,
+            PiecePlan::for_sizes(0, graph.num_servers(), 0, self.intra_pieces).server,
         );
         Simulation {
             graph,
@@ -854,10 +888,10 @@ impl<'g> SimulationBuilder<'g> {
 
 /// Mutable bookkeeping for an online workload (present iff one was attached).
 ///
-/// The arrival schedule, every ball's owner and every ball's service time are pure
-/// functions of `(seed, workload)` fixed at build; this struct only tracks *progress*
-/// through that predetermined script plus the per-ball birth/settle rounds the
-/// latency accounting needs.
+/// The arrival schedule and every arriving ball's owner are drawn at build, and each
+/// ball's service time when it settles, from a stream keyed by its id: all are pure
+/// functions of `(seed, workload)`. This struct only tracks *progress* through that
+/// script plus the per-ball birth/settle rounds the latency accounting needs.
 struct OnlineState {
     workload: OnlineWorkload,
     /// Balls arriving at the start of round `t` (index `t - 1`); fixed at build.
@@ -875,11 +909,11 @@ struct OnlineState {
     /// Round each ball settled (0 = not yet settled). Latency of a settled ball is
     /// `settle_round - birth_round + 1`.
     settle_round: Vec<u32>,
-    /// `depart_calendar[t]` holds one `(server, 1)` entry per ball departing at the
-    /// start of round `t`. Entries are merged into per-server totals and applied in
-    /// ascending server order, so their push order (piece-index order within a round)
-    /// never matters.
-    depart_calendar: Vec<Vec<(u32, u32)>>,
+    /// `depart_calendar[t]` holds the server of every ball departing at the start of
+    /// round `t`, one entry per ball. The entries are counted into the per-server
+    /// tally and drained into ascending per-server totals, so their push order never
+    /// matters.
+    depart_calendar: Vec<Vec<u32>>,
 }
 
 /// A protocol run on a fixed graph: owns all mutable state of the process.
@@ -1091,37 +1125,34 @@ impl<'g> Simulation<'g> {
     }
 
     /// One round: phase 1 (clients submit), phase 2 (servers decide), phase 3 (balls
-    /// settle), census. Every phase runs over contiguous pieces per the build-time
-    /// [`PiecePlan`] and merges in piece-index order; nothing is allocated on the way.
+    /// settle), census. Every phase runs over contiguous pieces per the round's
+    /// [`PiecePlan`] and merges in piece-index order; a batch round allocates nothing.
     fn step_internal(&mut self) -> RoundRecord {
         self.round += 1;
         let round = self.round;
+        let num_servers = self.graph.num_servers();
 
         // Online round prologue — departures, then arrivals, both before any request
-        // of the round is routed. Departures merge into ascending `(server, count)`
-        // totals, so the protocol sees at most one `server_on_depart` per server, in
-        // ascending server order (the same discipline as phase-3 releases); arrivals
-        // append to the alive list in ascending ball-id order. Both orders are pure
-        // functions of the schedule, so the prologue is trivially thread- and
-        // piece-independent.
+        // of the round is routed. Departures drain through the per-server tally into
+        // ascending `(server, count)` totals, so the protocol sees at most one
+        // `server_on_depart` per server, in ascending server order (the same
+        // discipline as phase-3 releases); arrivals append to the alive list in
+        // ascending ball-id order. Both orders are pure functions of the schedule, so
+        // the prologue is trivially thread- and piece-independent.
         let mut departures = 0u64;
         let mut arrivals = 0u64;
         if let Some(online) = self.online.as_mut() {
             if let Some(due) = online.depart_calendar.get_mut(round as usize) {
-                let mut due = std::mem::take(due);
+                let due = std::mem::take(due);
                 departures = due.len() as u64;
-                due.sort_unstable();
-                due.dedup_by(|later, first| {
-                    let same = later.0 == first.0;
-                    if same {
-                        first.1 += later.1;
-                    }
-                    same
-                });
-                for &(server, count) in &due {
-                    self.server_load[server as usize] -= count;
+                let tally = &mut self.buffers.server_tally;
+                for &server in &due {
+                    tally[server as usize] += 1;
                 }
-                self.protocol.erased_depart(&mut *self.server_states, &due);
+                let totals = &mut self.buffers.server_totals;
+                drain_server_tally(tally, &mut self.server_load, totals);
+                self.protocol
+                    .erased_depart(&mut *self.server_states, totals);
                 self.in_service -= departures;
             }
             if let Some(&count) = online.arrivals_per_round.get(round as usize - 1) {
@@ -1140,7 +1171,6 @@ impl<'g> Simulation<'g> {
         let per_ball = choices as usize;
         let rule = self.settle_rule;
         let graph = self.graph;
-        let num_servers = graph.num_servers();
         let factory = self.factory;
         let ball_owner = &self.ball_owner;
         let alive = self.alive_balls.len();
@@ -1156,13 +1186,13 @@ impl<'g> Simulation<'g> {
             alive_scratch,
             assigned_scratch,
             release_scratch,
-            release_count,
-            touched_servers,
+            server_tally,
+            server_totals,
             piece_hist,
             piece_off,
-            plan,
+            forced_pieces,
         } = &mut self.buffers;
-        let plan = *plan;
+        let plan = PiecePlan::for_sizes(total_requests, num_servers, alive, *forced_pieces);
 
         // Phase 1 — every alive ball picks `choices` destinations independently and
         // uniformly at random (with replacement) from its owner's neighbourhood,
@@ -1201,6 +1231,10 @@ impl<'g> Simulation<'g> {
             );
         } else {
             let pieces = plan.sort;
+            // The round's histogram rows and offsets: the buffers hold enough for the
+            // largest plan, and pass B reads its piece count off the slice length.
+            let piece_hist = &mut piece_hist[..pieces * num_servers];
+            let piece_off = &mut piece_off[..pieces * num_servers];
             // Pass A — per-piece histograms + piece-local ranks, carved by request range.
             {
                 let req_all: &[u32] = &request_server[..total_requests];
@@ -1365,13 +1399,30 @@ impl<'g> Simulation<'g> {
                 balls_assigned += u64::from(p.counts.assigned);
             }
 
+            // Online: draw every settled ball's service time on the pool. Each draw
+            // is keyed by ball id alone and lands index-addressed in the prefix of its
+            // piece's `alive_out`, dead now that the survivors are merged (a piece's
+            // slots hold its survivors plus its settled balls, so it is long enough).
+            let seed = self.config.seed;
+            if let Some(online) = self.online.as_ref() {
+                let workload = &online.workload;
+                drive_pieces(&mut descs[..slot_pieces], |p| {
+                    let settled = p.counts.assigned as usize;
+                    p.alive_out[..settled]
+                        .par_iter_mut()
+                        .zip(p.assigned_out[..settled].par_iter())
+                        .for_each(|(service, &packed)| {
+                            *service = workload.service_rounds(seed, packed >> 32);
+                        });
+                });
+            }
+
             // The two remaining applications touch disjoint state (ball assignments
             // plus online settle bookkeeping vs server loads/states), so they run as
             // the two arms of a join.
             let descs_done = &descs[..slot_pieces];
             let ball_assigned = &mut self.ball_assigned;
             let online = self.online.as_mut();
-            let seed = self.config.seed;
             let max_rounds = self.config.max_rounds;
             let server_load = &mut self.server_load;
             let server_states = &mut self.server_states;
@@ -1387,25 +1438,28 @@ impl<'g> Simulation<'g> {
                     }
                     Some(online) => {
                         // Settled balls record their latency and schedule their
-                        // departure. The service draw is keyed by ball id alone, and
-                        // calendar entries are re-aggregated per server when applied,
-                        // so piece order cannot leak into anything observable. A
-                        // departure falling beyond the round cap is not scheduled:
-                        // it could never be applied within the run, and skipping it
-                        // keeps the calendar bounded by `max_rounds`.
+                        // departure with the service time drawn above. Calendar
+                        // entries are re-aggregated per server when applied, so piece
+                        // order cannot leak into anything observable. A departure
+                        // falling beyond the round cap is not scheduled: it could
+                        // never be applied within the run, and skipping it keeps the
+                        // calendar bounded by `max_rounds`.
                         for p in descs_done.iter().flatten() {
-                            for &packed in &p.assigned_out[..p.counts.assigned as usize] {
+                            let settled = p.counts.assigned as usize;
+                            for (&packed, &service) in p.assigned_out[..settled]
+                                .iter()
+                                .zip(&p.alive_out[..settled])
+                            {
                                 let ball = (packed >> 32) as usize;
                                 ball_assigned[ball] = packed as u32;
                                 online.settle_round[ball] = round;
-                                let service = online.workload.service_rounds(seed, ball as u64);
                                 if let Some(due) = round.checked_add(service) {
                                     if due <= max_rounds {
                                         let due = due as usize;
                                         if online.depart_calendar.len() <= due {
                                             online.depart_calendar.resize_with(due + 1, Vec::new);
                                         }
-                                        online.depart_calendar[due].push((packed as u32, 1));
+                                        online.depart_calendar[due].push(packed as u32);
                                     }
                                 }
                             }
@@ -1413,26 +1467,19 @@ impl<'g> Simulation<'g> {
                     }
                 },
                 || {
-                    // Aggregate surplus releases per server (piece-index order in,
-                    // ascending server order out), then hand the totals to the
-                    // protocol: one `server_on_release` per server. `release_count`
-                    // is all-zero on entry and reset to all-zero on the way out.
-                    for p in descs_done.iter().flatten() {
-                        for &server in &p.release_out[..p.counts.released as usize] {
-                            if release_count[server as usize] == 0 {
-                                touched_servers.push((server, 0));
+                    // Count surplus releases per server (piece-index order in), drain
+                    // them into ascending totals and hand those to the protocol: one
+                    // `server_on_release` per server. A one-choice round has none.
+                    server_totals.clear();
+                    if per_ball > 1 {
+                        for p in descs_done.iter().flatten() {
+                            for &server in &p.release_out[..p.counts.released as usize] {
+                                server_tally[server as usize] += 1;
                             }
-                            release_count[server as usize] += 1;
                         }
+                        drain_server_tally(server_tally, server_load, server_totals);
                     }
-                    touched_servers.sort_unstable();
-                    for (server, total) in touched_servers.iter_mut() {
-                        let s = *server as usize;
-                        *total = std::mem::take(&mut release_count[s]);
-                        server_load[s] -= *total;
-                    }
-                    protocol.erased_release(&mut **server_states, touched_servers);
-                    touched_servers.clear();
+                    protocol.erased_release(&mut **server_states, server_totals);
                 },
             );
         }
@@ -1469,6 +1516,7 @@ impl<'g> Simulation<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erased::erase;
     use crate::observe::MaxLoadObserver;
     use crate::protocol::Protocol;
     use clb_graph::generators;
@@ -1795,18 +1843,27 @@ mod tests {
         }
     }
 
+    /// Everything a caller can observe of a run: the per-round records, the result,
+    /// the final loads and (online) the settle latencies.
+    type Observed = (Vec<RoundRecord>, RunResult, Vec<u32>, Option<Vec<u32>>);
+
     /// Runs step-by-step under a forced piece plan (or the size-derived default for
     /// `None`) and returns everything a caller could observe.
     fn run_with_pieces(
         g: &clb_graph::BipartiteGraph,
         protocol: impl Into<Box<dyn ErasedProtocol>>,
+        demand: Demand,
+        workload: Option<OnlineWorkload>,
         pieces: Option<usize>,
-    ) -> (Vec<RoundRecord>, RunResult, Vec<u32>) {
+    ) -> Observed {
         let mut builder = Simulation::builder(g)
             .protocol(protocol)
-            .demand(Demand::Constant(2))
+            .demand(demand)
             .seed(9)
             .max_rounds(200);
+        if let Some(workload) = workload {
+            builder = builder.workload(workload);
+        }
         if let Some(p) = pieces {
             builder = builder.intra_step_pieces(p);
         }
@@ -1815,30 +1872,138 @@ mod tests {
         while !sim.is_complete() && sim.round() < 200 {
             records.push(sim.step());
         }
-        (records, sim.result(), sim.server_loads().to_vec())
+        (
+            records,
+            sim.result(),
+            sim.server_loads().to_vec(),
+            sim.settle_latencies(),
+        )
+    }
+
+    /// Accepts at most `self.0` requests per server per round and never closes: a
+    /// threshold rule that leaves survivors whenever a server is oversubscribed.
+    struct PerRoundCap(u32);
+    impl Protocol for PerRoundCap {
+        type ServerState = ();
+        fn init_server(&self) {}
+        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+            ctx.incoming.min(self.0)
+        }
+        fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+            false
+        }
+    }
+
+    /// Two choices per ball on servers that accept up to a load cap, freed again by
+    /// departures: an online run drives departures and releases through one tally.
+    struct TwoChoiceLoadCap(u32);
+    impl Protocol for TwoChoiceLoadCap {
+        type ServerState = ();
+        fn init_server(&self) {}
+        fn choices_per_round(&self) -> u32 {
+            2
+        }
+        fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+            self.0.saturating_sub(ctx.current_load).min(ctx.incoming)
+        }
+        fn server_is_closed(&self, _state: &(), load: u32) -> bool {
+            load >= self.0
+        }
+    }
+
+    /// The plan the default (size-derived) path gives a round with this record's
+    /// requests.
+    fn default_plan(record: &RoundRecord, num_servers: usize, choices: u64) -> PiecePlan {
+        let requests = record.requests_sent as usize;
+        let balls = (record.requests_sent / choices) as usize;
+        PiecePlan::for_sizes(requests, num_servers, balls, None)
     }
 
     #[test]
     fn intra_step_pieces_do_not_change_results() {
         let g = generators::regular_random(96, 12, 33).unwrap();
         let piece_grid = [Some(2), Some(5), Some(32), None];
+        let run = |protocol: Box<dyn ErasedProtocol>, pieces| {
+            run_with_pieces(&g, protocol, Demand::Constant(2), None, pieces)
+        };
         // One-choice (no releases) and two-choice (release aggregation) protocols.
-        let baseline = run_with_pieces(&g, OpensAt(3), Some(1));
+        let baseline = run(erase(OpensAt(3)), Some(1));
         for pieces in piece_grid {
             assert_eq!(
-                run_with_pieces(&g, OpensAt(3), pieces),
+                run(erase(OpensAt(3)), pieces),
                 baseline,
                 "pieces={pieces:?}"
             );
         }
-        let baseline = run_with_pieces(&g, TwoChoiceCapacityOne, Some(1));
+        let baseline = run(erase(TwoChoiceCapacityOne), Some(1));
         for pieces in piece_grid {
             assert_eq!(
-                run_with_pieces(&g, TwoChoiceCapacityOne, pieces),
+                run(erase(TwoChoiceCapacityOne), pieces),
                 baseline,
                 "pieces={pieces:?}"
             );
         }
+
+        // A default plan that changes mid-run: 65,536 round-1 requests on 1,024
+        // servers get four sort and four slot pieces; the survivors of the per-round
+        // cap shrink through fewer pieces (pass B then reads only the round's
+        // histogram rows) down to one.
+        let g = generators::regular_random(1024, 16, 33).unwrap();
+        let run = |pieces| run_with_pieces(&g, PerRoundCap(16), Demand::Constant(64), None, pieces);
+        let default = run(None);
+        let records = &default.0;
+        assert!(default.1.completed, "{:?}", default.1);
+        let plans: Vec<PiecePlan> = records.iter().map(|r| default_plan(r, 1024, 1)).collect();
+        let (first, last) = (plans[0], plans[plans.len() - 1]);
+        assert!(
+            first.sort > 2 && first.slot > 2,
+            "round 1 must split: {first:?}"
+        );
+        assert!(
+            plans.iter().any(|p| 1 < p.sort && p.sort < first.sort),
+            "some round must use fewer sort pieces than the buffers hold: {plans:?}"
+        );
+        assert_eq!(
+            (last.sort, last.slot),
+            (1, 1),
+            "the last round is one piece"
+        );
+        assert_eq!(run(Some(1)), default, "batch: pieces=1");
+        assert_eq!(run(Some(8)), default, "batch: pieces=8");
+
+        // An open system whose lifetime ball count would give a multi-piece plan while
+        // every live round fits one piece; departures and releases share the tally.
+        let g = generators::regular_random(256, 16, 33).unwrap();
+        let workload = OnlineWorkload {
+            arrivals: crate::workload::ArrivalProcess::Batch {
+                per_round: 2048,
+                rounds: 40,
+            },
+            service: crate::workload::ServiceDistribution::Geometric { p: 0.5 },
+        };
+        let run = |pieces| {
+            let protocol = TwoChoiceLoadCap(32);
+            run_with_pieces(
+                &g,
+                protocol,
+                Demand::Constant(0),
+                Some(workload.clone()),
+                pieces,
+            )
+        };
+        let default = run(None);
+        let records = &default.0;
+        assert!(default.1.completed, "{:?}", default.1);
+        assert!(records.iter().any(|r| r.departures > 0));
+        let lifetime = 2048 * 40;
+        let built = PiecePlan::for_sizes(2 * lifetime, 256, lifetime, None);
+        assert!(built.sort > 1 && built.slot > 1, "lifetime plan: {built:?}");
+        for record in records {
+            let plan = default_plan(record, 256, 2);
+            assert_eq!((plan.sort, plan.slot), (1, 1), "round {}", record.round);
+        }
+        assert_eq!(run(Some(1)), default, "online: pieces=1");
+        assert_eq!(run(Some(8)), default, "online: pieces=8");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! Four execution contexts are pinned:
 //!
 //! 1. the classic sequential path (`ThreadPool::install(1)` scopes the rayon stub to
-//!    one thread, exactly the pre-pool behaviour),
+//!    one thread, exactly the pre-pool behaviour), including a run whose size-derived
+//!    piece plan shrinks from four pieces to one between rounds,
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
 //!    the parallel sort / decide / settle / census code paths (carved descriptors,
 //!    piece merges, release aggregation) run through the counted window,
@@ -107,6 +108,20 @@ impl Protocol for OpensAt {
     }
 }
 
+/// Accepts at most `self.0` requests per server per round and never closes, so an
+/// oversubscribed round leaves survivors for the next.
+struct PerRoundCap(u32);
+impl Protocol for PerRoundCap {
+    type ServerState = ();
+    fn init_server(&self) {}
+    fn server_decide(&self, _state: &mut (), ctx: &ServerCtx) -> u32 {
+        ctx.incoming.min(self.0)
+    }
+    fn server_is_closed(&self, _state: &(), _load: u32) -> bool {
+        false
+    }
+}
+
 /// Two choices per ball on capacity-1 servers: drives the release path and the
 /// k-choice phase-3 logic through the counted window.
 struct TwoChoiceCapacityOne;
@@ -187,6 +202,33 @@ fn round_loop_is_allocation_free_after_build() {
         assert_eq!(
             allocations, 0,
             "two-choice step() allocated {allocations} times over the counted window"
+        );
+
+        // Case 3: a piece plan that changes mid-run. 65,536 round-1 requests on 1,024
+        // servers split the sort and the settle into four pieces; the per-round cap
+        // leaves survivors that shrink to a one-piece plan. Every step is counted,
+        // round 1 included: the buffers are sized at build for the largest plan.
+        let graph = generators::regular_random(1024, 16, 33).unwrap();
+        let mut sim = Simulation::builder(&graph)
+            .protocol(PerRoundCap(16))
+            .demand(Demand::Constant(64))
+            .seed(9)
+            .build();
+        let mut requests = Vec::with_capacity(64);
+        let (allocations, ()) = counted(|| {
+            while !sim.is_complete() && requests.len() < 64 {
+                requests.push(sim.step().requests_sent);
+            }
+        });
+        assert!(sim.is_complete(), "the capped run drains: {requests:?}");
+        assert_eq!(requests[0], 65_536);
+        assert!(
+            requests.len() > 2 && *requests.last().unwrap() < 16_384,
+            "the plan must shrink to one piece: {requests:?}"
+        );
+        assert_eq!(
+            allocations, 0,
+            "step() allocated {allocations} times across a changing piece plan"
         );
     });
 }

@@ -238,9 +238,10 @@ impl Binomial {
 
 /// A Poisson distribution with rate `lambda`.
 ///
-/// Sampling uses Knuth's multiplication method (expected `O(lambda)` per draw),
-/// exact and allocation-free — the online arrival rates this serves stay small
-/// (tens of balls per round), so the linear cost is negligible.
+/// Sampling uses Knuth's multiplication method (expected `O(lambda)` uniforms per
+/// draw, in chunks of 16 so `e^-lambda` never underflows), exact and allocation-free.
+/// Online workloads draw one count per round, so even a rate of thousands of balls
+/// per round costs far less than routing those balls does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Poisson {
     lambda: f64,

@@ -5,10 +5,10 @@
 //! The API mirrors `rayon` 1.x exactly where the workspace uses it, so swapping in
 //! the upstream crate stays a one-line `Cargo.toml` change. Like upstream, the
 //! scheduler is a per-worker-deque work stealer with true nested parallelism:
-//! `join`, [`scope`] and parallel drives issued *from inside a pool job* push their
-//! sub-tasks onto the running worker's own deque, where idle workers steal them —
-//! nesting fans out instead of degrading to sequential execution (`pool` module
-//! docs describe the scheduler). Results are **bit-identical to sequential
+//! `join` and parallel drives issued *from inside a pool job* push their sub-tasks
+//! onto the running worker's own deque, where idle workers steal them — nesting fans
+//! out instead of degrading to sequential execution (`pool` module docs describe the
+//! scheduler). Results are **bit-identical to sequential
 //! execution** by construction regardless: producers split into contiguous index
 //! ranges and every driver merges piece results in index order, so stealing decides
 //! *who* runs a piece, never *where its result merges*.
@@ -22,12 +22,11 @@
 mod pool;
 pub mod producer;
 
-pub use pool::{PoolStats, Scope, SMALL_DRIVE_CUTOFF};
+pub use pool::{PoolStats, SMALL_DRIVE_CUTOFF};
 
 use producer::{
-    ChunksMutProducer, EnumerateProducer, FilterProducer, FlatMapProducer, IndexedProducer,
-    MapProducer, Producer, RangeProducer, SliceMutProducer, SliceProducer, VecProducer,
-    ZipProducer,
+    ChunksMutProducer, EnumerateProducer, FilterProducer, IndexedProducer, MapProducer, Producer,
+    RangeProducer, SliceMutProducer, SliceProducer, VecProducer, ZipProducer,
 };
 use std::sync::Arc;
 
@@ -57,20 +56,6 @@ impl<P: Producer> ParIter<P> {
     {
         ParIter {
             producer: MapProducer {
-                base: self.producer,
-                f: Arc::new(f),
-            },
-        }
-    }
-
-    pub fn flat_map_iter<F, J>(self, f: F) -> ParIter<FlatMapProducer<P, F>>
-    where
-        F: Fn(P::Item) -> J + Send + Sync,
-        J: IntoIterator,
-        J::Item: Send,
-    {
-        ParIter {
-            producer: FlatMapProducer {
                 base: self.producer,
                 f: Arc::new(f),
             },
@@ -187,32 +172,6 @@ impl<P: Producer> ParIter<P> {
             pool::run_parallel(self.producer, &|piece: P| piece.into_seq().for_each(&f));
         }
     }
-
-    /// Mirror of rayon's `for_each_init`: per-executor scratch, created once per
-    /// contiguous piece and threaded through that piece's items in index order.
-    ///
-    /// Upstream calls `init` once per rayon *job*; here it runs once per piece, which
-    /// is the same contract observable-behaviour-wise: code must already treat the
-    /// scratch as arbitrary-reuse (a cached allocation, an RNG to reseed per item),
-    /// never as a cross-item accumulator — a fold through the scratch would depend on
-    /// piece boundaries under either implementation.
-    pub fn for_each_init<OP, INIT, T>(self, init: INIT, op: OP)
-    where
-        INIT: Fn() -> T + Send + Sync,
-        OP: Fn(&mut T, P::Item) + Send + Sync,
-    {
-        if pool::run_sequentially(self.producer.len()) {
-            let mut scratch = init();
-            self.producer
-                .into_seq()
-                .for_each(|item| op(&mut scratch, item));
-        } else {
-            pool::run_parallel(self.producer, &|piece: P| {
-                let mut scratch = init();
-                piece.into_seq().for_each(|item| op(&mut scratch, item));
-            });
-        }
-    }
 }
 
 /// Mirror of `rayon::join`: runs both closures, potentially in parallel, and returns
@@ -235,26 +194,6 @@ where
     RB: Send,
 {
     pool::join(oper_a, oper_b)
-}
-
-/// Mirror of `rayon::scope`: spawn any number of tasks that may borrow from the
-/// enclosing stack frame; `scope` returns only after every spawn (including
-/// transitively spawned ones) has finished.
-///
-/// Spawns go onto the calling worker's own deque (or the shared injector from a
-/// non-worker thread) and may be stolen by idle workers; the scope owner drains its
-/// remaining spawns itself while it waits, so the scope never deadlocks on pool
-/// capacity. Under an effective parallelism of 1, spawns run inline at the spawn
-/// point (upstream defers them to scope exit — upstream makes no ordering guarantee
-/// between the scope body and spawns, so code correct against rayon is correct
-/// here). A panicking spawn is re-raised from `scope`; a panic in `op` itself takes
-/// precedence, matching upstream.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    pool::scope(op)
 }
 
 /// Mirror of `rayon::current_num_threads`: the *effective* parallelism a drive
@@ -503,9 +442,6 @@ mod tests {
         let mut keys = vec![5u64, 1, 4];
         keys.par_sort_unstable();
         assert_eq!(keys, vec![1, 4, 5]);
-
-        let flat: Vec<u32> = v.par_iter().flat_map_iter(|&x| vec![x, x]).collect();
-        assert_eq!(flat, vec![3, 3, 1, 1, 2, 2]);
 
         let mut buf = vec![0u32; 6];
         buf.par_chunks_mut(2)
@@ -794,73 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn scope_spawns_complete_before_scope_returns() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let done = AtomicUsize::new(0);
-        for threads in [1, 4] {
-            done.store(0, Ordering::Relaxed);
-            with_threads(threads, || {
-                scope(|s| {
-                    for _ in 0..16 {
-                        s.spawn(|inner| {
-                            // Transitive spawns must also be awaited.
-                            inner.spawn(|_| {
-                                done.fetch_add(1, Ordering::Relaxed);
-                            });
-                            done.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            });
-            // clb-audit: allow(relaxed-load) -- read-after-join, exact total
-            assert_eq!(done.load(Ordering::Relaxed), 32, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn scope_spawns_may_borrow_the_enclosing_frame() {
-        let mut parts = vec![0u64; 4];
-        with_threads(4, || {
-            let (a, rest) = parts.split_at_mut(1);
-            let (b, rest) = rest.split_at_mut(1);
-            let (c, d) = rest.split_at_mut(1);
-            scope(|s| {
-                s.spawn(|_| a[0] = 1);
-                s.spawn(|_| b[0] = 2);
-                s.spawn(|_| c[0] = 3);
-                d[0] = 4;
-            });
-        });
-        assert_eq!(parts, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn scope_propagates_spawn_panics_with_body_panic_taking_precedence() {
-        let err = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|_| panic!("spawn boom"));
-                });
-            })
-        })
-        .expect_err("spawn panic must propagate");
-        let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("spawn boom"), "got: {message}");
-
-        let err = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                scope(|s| {
-                    s.spawn(|_| panic!("spawn boom"));
-                    panic!("body boom");
-                })
-            })
-        })
-        .expect_err("body panic must propagate");
-        let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("body boom"), "got: {message}");
-    }
-
-    #[test]
     fn pool_stats_counters_move_when_parallel_work_runs() {
         let before = pool_stats();
         with_threads(4, || {
@@ -891,32 +760,6 @@ mod tests {
                 .expect_err("panic must propagate");
         let message = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(message.contains("left arm boom"), "got: {message}");
-    }
-
-    #[test]
-    fn for_each_init_reuses_scratch_within_a_piece() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let inits = AtomicUsize::new(0);
-        let seen = Mutex::new(vec![false; 10_000]);
-        with_threads(4, || {
-            (0..10_000usize).into_par_iter().for_each_init(
-                || {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    Vec::<usize>::with_capacity(8)
-                },
-                |scratch, i| {
-                    scratch.clear();
-                    scratch.push(i);
-                    seen.lock().unwrap()[scratch[0]] = true;
-                },
-            );
-        });
-        assert!(seen.lock().unwrap().iter().all(|&s| s));
-        // One init per piece, never per item.
-        // clb-audit: allow(relaxed-load) -- read-after-join, exact total
-        let init_count = inits.load(Ordering::Relaxed);
-        assert!(init_count <= 64, "init ran {init_count} times");
     }
 
     #[test]

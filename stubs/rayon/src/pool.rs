@@ -79,14 +79,12 @@
 //! driver cannot return before every token has been cancelled or has exited (tracked
 //! by an `Arc`ed latch that lives independently of the driver's stack, so a token's
 //! final countdown never touches freed memory); a cancelled token never dereferences
-//! the batch, and an executed token never touches it after its countdown. `scope`
-//! jobs are heap-allocated and owned by their queue entry, so they are freed exactly
-//! once, wherever they run. Piece panics are caught per piece and re-raised on the
-//! driving thread after the batch completes, in piece order.
+//! the batch, and an executed token never touches it after its countdown. Piece
+//! panics are caught per piece and re-raised on the driving thread after the batch
+//! completes, in piece order.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -220,9 +218,8 @@ fn piece_count(len: usize, threads: usize) -> usize {
 // Registry: worker slots, injector, parking
 // ---------------------------------------------------------------------------
 
-/// Type-erased job. For claim tokens `data` points into the driving thread's stack
-/// (see the module docs for why that is sound); for `scope` spawns it owns a
-/// heap-allocated closure. `context` is the parallelism the job's drive ran under,
+/// Type-erased job: `data` points into the driving thread's stack (see the module docs
+/// for why that is sound). `context` is the parallelism the job's drive ran under,
 /// inherited by any drive nested inside the job.
 struct Job {
     data: *const (),
@@ -233,10 +230,10 @@ struct Job {
 
 // SAFETY: `data` points at a `Batch`/`JoinTask` whose pieces/closures are
 // `Send`/`Sync` (enforced by the spawning functions' bounds) and which outlives the
-// job per the latch protocol, or at a `HeapJob` owning a `Send` closure.
+// job per the latch protocol.
 unsafe impl Send for Job {}
 
-/// Counts job exits (or cancellations) for one drive/scope. Lives in an `Arc` so
+/// Counts job exits (or cancellations) for one drive. Lives in an `Arc` so
 /// the final countdown and wakeup never touch the driver's stack.
 struct CountLatch {
     outstanding: Mutex<usize>,
@@ -249,10 +246,6 @@ impl CountLatch {
             outstanding: Mutex::new(outstanding),
             done: Condvar::new(),
         })
-    }
-
-    fn increment(&self) {
-        *self.outstanding.lock().unwrap() += 1;
     }
 
     fn count_down(&self) {
@@ -301,8 +294,6 @@ struct Registry {
     /// that arrived between their last scan and going to sleep (no lost wakeups).
     generation: Mutex<u64>,
     ready: Condvar,
-    /// Jobs executed by non-worker threads (a scope owner draining its own spawns).
-    foreign_tasks: AtomicU64,
 }
 
 fn registry() -> &'static Registry {
@@ -322,7 +313,6 @@ fn registry() -> &'static Registry {
         spawn_lock: Mutex::new(0),
         generation: Mutex::new(0),
         ready: Condvar::new(),
-        foreign_tasks: AtomicU64::new(0),
     })
 }
 
@@ -331,7 +321,7 @@ fn registry() -> &'static Registry {
 pub struct PoolStats {
     /// Worker threads spawned so far (the driving thread is not counted).
     pub workers: usize,
-    /// Jobs executed: claim tokens, join tokens and scope spawns, wherever they ran.
+    /// Jobs executed by pool workers: claim tokens and join tokens.
     pub tasks_executed: u64,
     /// Steal scans that ran (one scan probes every other worker once).
     pub steals_attempted: u64,
@@ -349,8 +339,6 @@ pub(crate) fn pool_stats() -> PoolStats {
     let mut stats = PoolStats {
         // clb-audit: allow(relaxed-load) -- diagnostics only
         workers: reg.spawned.load(Ordering::Relaxed),
-        // clb-audit: allow(relaxed-load) -- diagnostics only
-        tasks_executed: reg.foreign_tasks.load(Ordering::Relaxed),
         ..PoolStats::default()
     };
     for slot in &reg.workers {
@@ -455,17 +443,14 @@ fn find_work(index: usize) -> Option<Job> {
     None
 }
 
-/// Runs one job with its parallelism context installed, then counts its latch down.
-/// The last dereference of `job.data` happens inside `exec`; from there on only the
-/// `Arc`ed latch is used, so the driver may free the batch as soon as it wakes.
-fn execute_job(job: Job) {
-    let reg = registry();
-    match current_worker() {
-        Some(index) => reg.workers[index]
-            .tasks_executed
-            .fetch_add(1, Ordering::Relaxed),
-        None => reg.foreign_tasks.fetch_add(1, Ordering::Relaxed),
-    };
+/// Runs one job on worker `index` with its parallelism context installed, then
+/// counts its latch down. The last dereference of `job.data` happens inside `exec`;
+/// from there on only the `Arc`ed latch is used, so the driver may free the batch as
+/// soon as it wakes.
+fn execute_job(index: usize, job: Job) {
+    registry().workers[index]
+        .tasks_executed
+        .fetch_add(1, Ordering::Relaxed);
     {
         let _context = enter_job_context(job.context);
         // SAFETY: the job's referent is alive — its driver is blocked until this
@@ -499,7 +484,7 @@ fn worker_main(index: usize) {
     loop {
         let generation = *reg.generation.lock().unwrap();
         if let Some(job) = find_work(index) {
-            execute_job(job);
+            execute_job(index, job);
             continue;
         }
         // Scan-then-check parking: if a push happened after the scan started, the
@@ -614,150 +599,6 @@ where
         (Err(payload), _) => resume_unwind(payload),
         (_, Err(payload)) => resume_unwind(payload),
     }
-}
-
-// ---------------------------------------------------------------------------
-// scope
-// ---------------------------------------------------------------------------
-
-/// Send-able raw pointer wrapper for closures that smuggle a `&Scope` across
-/// threads under the latch protocol.
-struct SendConst(*const ());
-// SAFETY: the pointee (a `Scope`) is `Sync` in the ways the spawned closure uses it
-// (latch, panic slot — both behind locks) and outlives the closure per the latch
-// protocol.
-unsafe impl Send for SendConst {}
-
-impl SendConst {
-    /// Method (not field) access so edition-2021 closures capture the `Send`
-    /// wrapper, not the raw pointer inside it.
-    fn get(&self) -> *const () {
-        self.0
-    }
-}
-
-/// Heap-allocated `scope` spawn; owned by its queue entry and freed where it runs.
-struct HeapJob {
-    func: Box<dyn FnOnce() + Send + 'static>,
-}
-
-unsafe fn heap_job_entry(data: *const ()) {
-    // SAFETY: `data` came from `Box::into_raw` in `Scope::spawn` and is executed
-    // exactly once (queues hand a job to exactly one executor, and scope spawns are
-    // never cancelled).
-    let job = unsafe { Box::from_raw(data as *mut HeapJob) };
-    (job.func)();
-}
-
-/// Mirror of `rayon::Scope`: spawn tasks that may borrow from the enclosing stack
-/// frame (`'scope`); [`crate::scope`] does not return until every spawn finished.
-pub struct Scope<'scope> {
-    latch: Arc<CountLatch>,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    context: usize,
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `body` into the pool. On the parallel path the job goes to the
-    /// calling worker's own deque (or the injector from a non-worker thread), where
-    /// it runs LIFO locally or is stolen FIFO — exactly like a nested drive's claim
-    /// token, except the job owns its closure on the heap. Under an effective
-    /// parallelism of 1 the body runs inline at the spawn point (upstream defers to
-    /// scope exit; code must not depend on the order either way — upstream makes no
-    /// ordering guarantee between spawns and the scope body).
-    pub fn spawn<BODY>(&self, body: BODY)
-    where
-        BODY: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if self.context <= 1 {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(self))) {
-                self.record_panic(payload);
-            }
-            return;
-        }
-        self.latch.increment();
-        ensure_workers(1);
-        let scope_ptr = SendConst(self as *const Scope<'scope> as *const ());
-        let func: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            // SAFETY: the scope outlives every spawned job (latch protocol).
-            let scope = unsafe { &*(scope_ptr.get() as *const Scope<'scope>) };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(scope))) {
-                scope.record_panic(payload);
-            }
-        });
-        // SAFETY: lifetime erasure for storage only — the latch keeps `scope()`
-        // from returning (and the borrowed stack frame from dying) before this
-        // closure has run and been dropped.
-        let func: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(func) };
-        let heap = Box::new(HeapJob { func });
-        push_job(Job {
-            data: Box::into_raw(heap) as *const (),
-            exec: heap_job_entry,
-            latch: Arc::clone(&self.latch),
-            context: self.context,
-        });
-    }
-
-    fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut slot = self.panic.lock().unwrap();
-        slot.get_or_insert(payload);
-    }
-}
-
-/// Mirror of `rayon::scope`; see [`crate::scope`] for the public contract.
-pub(crate) fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    let scope = Scope {
-        latch: CountLatch::new(0),
-        panic: Mutex::new(None),
-        context: current_parallelism(),
-        _marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    // Drain this scope's still-queued spawns (unlike claim tokens they are real
-    // work and must *run*, not be cancelled), then wait out stolen ones. Jobs a
-    // spawned body pushes while we drain land in the same queue and are picked up
-    // by the same loop.
-    loop {
-        let reg = registry();
-        let job = {
-            let mut queue = match current_worker() {
-                Some(index) => reg.workers[index].deque.lock().unwrap(),
-                None => reg.injector.lock().unwrap(),
-            };
-            take_matching(&mut queue, &scope.latch)
-        };
-        match job {
-            Some(job) => execute_job(job),
-            None => break,
-        }
-    }
-    scope.latch.wait();
-
-    let spawned_panic = scope.panic.lock().unwrap().take();
-    match result {
-        Err(payload) => resume_unwind(payload),
-        Ok(value) => {
-            if let Some(payload) = spawned_panic {
-                resume_unwind(payload);
-            }
-            value
-        }
-    }
-}
-
-/// Removes the most recently pushed job belonging to `latch` (LIFO, like a local
-/// pop). Matching by latch identity keeps a non-worker scope owner from yanking
-/// unrelated drives out of the shared injector.
-fn take_matching(queue: &mut VecDeque<Job>, latch: &Arc<CountLatch>) -> Option<Job> {
-    let position = queue
-        .iter()
-        .rposition(|job| Arc::ptr_eq(&job.latch, latch))?;
-    queue.remove(position)
 }
 
 // ---------------------------------------------------------------------------

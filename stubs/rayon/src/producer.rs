@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 /// A splittable, exactly-sized description of parallel work.
 ///
-/// `len` counts *base* items (for `filter`/`flat_map_iter` the produced item count
-/// may differ); `split_at(i)` must partition the work so that
+/// `len` counts *base* items (for `filter` the produced item count may be smaller); `split_at(i)` must partition the work so that
 /// `head.into_seq().chain(tail.into_seq())` yields exactly what `self.into_seq()`
 /// would have — that invariant is what makes parallel `collect` order-preserving.
 pub trait Producer: Sized + Send {
@@ -27,7 +26,7 @@ pub trait Producer: Sized + Send {
     type SeqIter: Iterator<Item = Self::Item>;
 
     /// Number of splittable work units left (exact for indexed sources; an upper
-    /// bound on produced items for `filter`/`flat_map_iter`).
+    /// bound on produced items for `filter`).
     fn len(&self) -> usize;
 
     /// True if no work units remain.
@@ -44,7 +43,7 @@ pub trait Producer: Sized + Send {
 
 /// Marker for producers whose `len` is the *exact* produced item count and whose
 /// item positions are knowable per piece — mirrors rayon's `IndexedParallelIterator`.
-/// `filter`/`flat_map_iter` lose it, which (as in upstream rayon) makes
+/// `filter` loses it, which (as in upstream rayon) makes
 /// `enumerate`/`zip` after them a compile error rather than a silent renumbering.
 pub trait IndexedProducer: Producer {}
 
@@ -347,78 +346,6 @@ where
 
     fn next(&mut self) -> Option<I::Item> {
         self.inner.by_ref().find(|item| (self.f)(item))
-    }
-}
-
-/// `flat_map_iter` combinator; splits on base items, expands sequentially per piece.
-pub struct FlatMapProducer<P, F> {
-    pub(crate) base: P,
-    pub(crate) f: Arc<F>,
-}
-
-impl<P, F, J> Producer for FlatMapProducer<P, F>
-where
-    P: Producer,
-    F: Fn(P::Item) -> J + Send + Sync,
-    J: IntoIterator,
-    J::Item: Send,
-{
-    type Item = J::Item;
-    type SeqIter = FlatMapSeqIter<P::SeqIter, J, F>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (head, tail) = self.base.split_at(index);
-        (
-            Self {
-                base: head,
-                f: Arc::clone(&self.f),
-            },
-            Self {
-                base: tail,
-                f: self.f,
-            },
-        )
-    }
-
-    fn into_seq(self) -> Self::SeqIter {
-        FlatMapSeqIter {
-            inner: self.base.into_seq(),
-            f: self.f,
-            current: None,
-        }
-    }
-}
-
-/// Sequential side of [`FlatMapProducer`].
-pub struct FlatMapSeqIter<I, J: IntoIterator, F> {
-    inner: I,
-    f: Arc<F>,
-    current: Option<J::IntoIter>,
-}
-
-impl<I, J, F> Iterator for FlatMapSeqIter<I, J, F>
-where
-    I: Iterator,
-    J: IntoIterator,
-    F: Fn(I::Item) -> J,
-{
-    type Item = J::Item;
-
-    fn next(&mut self) -> Option<J::Item> {
-        loop {
-            if let Some(iter) = self.current.as_mut() {
-                if let Some(item) = iter.next() {
-                    return Some(item);
-                }
-                self.current = None;
-            }
-            let base = self.inner.next()?;
-            self.current = Some((self.f)(base).into_iter());
-        }
     }
 }
 
