@@ -18,11 +18,12 @@
 //!   driver, never re-derived by a worker.
 //! * **Graphs travel, generation doesn't.** Identities shared by several cells are
 //!   generated once in the driver and shipped as `clb_graph::snapshot` encodings
-//!   (the only place snapshots are used), so a worker decodes the very graph an
-//!   in-process cell borrows from the shared cache — the snapshot round trip is
-//!   pinned `==` by clb-graph's tests. Single-use identities are built directly in
-//!   the worker from `GraphSpec × seed`, exactly as the in-process path builds them
-//!   in the cell.
+//!   (the only place snapshots are used). A worker decodes each shipped snapshot
+//!   once, on its pool, before any cell runs, and its cells borrow the result as
+//!   in-process cells borrow the shared cache: the very same graph, since the
+//!   snapshot round trip is pinned `==` by clb-graph's tests. Single-use identities
+//!   are built directly in the worker from `GraphSpec × seed`, exactly as the
+//!   in-process path builds them in the cell.
 //! * **Exact result transport.** Trial outcomes return over a versioned little-endian
 //!   format in which floats travel as IEEE-754 bit patterns, so a merged
 //!   `TrialOutcome` is byte-for-byte the worker's original.
@@ -55,7 +56,7 @@
 //! | shard_index, shard_count | `u32`, `u32` (index < count) |
 //! | first_cell | `u64` — global grid index of the first cell |
 //! | configs | `u32` count, then per config: graph spec (`u32` tag + params), protocol spec (`u32` tag + params), demand (`u32` tag + params), trials `u64`, base_seed `u64`, max_rounds `u32`, measurements bitmask `u32`, retention tag `u32`, fault plan (`u32` flag; when set, four per-kind `u32` flags each followed by its parameters — crash `u32` round + fraction bits, lie/loss/straggler two `f64`-bits each), workload (`u32` flag; when set, arrival process `u32` tag + params and service distribution `u32` tag + params) |
-//! | snapshots | `u32` count, then per snapshot: `u64` length + raw `clb_graph::snapshot` bytes |
+//! | snapshots | `u32` count, then per snapshot: `u64` length + raw `clb_graph::snapshot` bytes (opaque here; snapshot version 2 takes 4 B per node and per edge) |
 //! | cells | `u64` count, then per cell: point `u32` (index into configs), trial `u64`, source tag `u32` (0 = build direct, 1 = decode snapshot + `u32` snapshot index) |
 //!
 //! `ShardReport` (worker → driver, magic `"CLBR"`, version 4):
@@ -99,7 +100,7 @@ use crate::scenario::{
     build_shared_graphs, plan_grid, print_cache_line, CacheStats, Scenario, Sweep, SweepReport,
     SweepRow,
 };
-use clb_graph::{snapshot, GraphError};
+use clb_graph::{snapshot, BipartiteGraph, GraphError};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
@@ -619,8 +620,8 @@ fn build_manifest(
 /// Executes one shard's cells on this process's rayon pool and returns its report.
 ///
 /// This is the worker half of the determinism contract: the per-cell work is exactly
-/// the in-process grid pass of [`Scenario::run`] — decode the shipped snapshot of a
-/// shared graph (where the in-process pass borrows it) or build `GraphSpec × seed`
+/// the in-process grid pass of [`Scenario::run`] — borrow the shared graph, decoded
+/// once from its shipped snapshot before the cells run, or build `GraphSpec × seed`
 /// directly, then run the trial — folded into per-point accumulators in manifest
 /// cell order at every thread count. Under `Retention::Full` the report carries every
 /// outcome (in cell order); under `Retention::Summary` it carries one O(1)-sized
@@ -636,6 +637,13 @@ pub fn execute_manifest(manifest: &ShardManifest) -> Result<ShardReport, ShardEr
             "manifest mixes retention policies across configs".into(),
         ));
     }
+    // Each shipped graph is decoded once, on the pool, and borrowed by every cell
+    // that uses it, as Scenario::run's cells borrow its shared cache.
+    let shared: Vec<BipartiteGraph> = manifest
+        .snapshots
+        .par_iter()
+        .map(|bytes| snapshot::decode(bytes))
+        .collect::<Result<_, _>>()?;
     let snapshot_hits = AtomicUsize::new(0);
     let direct_builds = AtomicUsize::new(0);
     // The same streaming fold as Scenario::run — literally the same operator
@@ -648,20 +656,22 @@ pub fn execute_manifest(manifest: &ShardManifest) -> Result<ShardReport, ShardEr
         .map(|cell| {
             let config = &manifest.configs[cell.point as usize];
             let seed = config.base_seed + cell.trial;
+            let built;
             let graph = match cell.source {
                 GraphSource::Snapshot(index) => {
                     snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                    snapshot::decode(&manifest.snapshots[index as usize])?
+                    &shared[index as usize]
                 }
                 GraphSource::Direct => {
                     direct_builds.fetch_add(1, Ordering::Relaxed);
-                    config.graph.build(seed)?
+                    built = config.graph.build(seed)?;
+                    &built
                 }
             };
             Ok(GridFold::cell(
                 cell.point,
                 config.retention,
-                config.run_trial_on(&graph, seed),
+                config.run_trial_on(graph, seed),
             ))
         })
         .reduce(|| Ok(GridFold::empty()), merge_grid_fold);

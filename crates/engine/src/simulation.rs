@@ -135,11 +135,14 @@ fn checked_request_count(alive: usize, choices: u32) -> usize {
 /// Reusable per-round scratch space, hoisted out of the hot loop.
 ///
 /// Everything a round touches lives here, sized once in [`SimulationBuilder::build`]
-/// for the run's largest round, so a batch round never touches the allocator (an
-/// online round still grows its departure calendar). The request-indexed buffers
-/// are built at full capacity and *sliced* to the live request count each round — no
-/// `clear()`/`resize()` zero-fill, because the covering passes overwrite every slot
-/// they later read (the invariants are stated at each use site).
+/// for the run's largest round, so a batch round never touches the allocator. An
+/// online round rarely does: its departure calendar recycles each drained slot's
+/// buffer into the next slot it grows, so it allocates only when its horizon outgrows
+/// the calendar's capacity or a slot outgrows its recycled buffer. The
+/// request-indexed buffers are built at full capacity and *sliced* to the live
+/// request count each round — no `clear()`/`resize()` zero-fill, because the
+/// covering passes overwrite every slot they later read (the invariants are stated
+/// at each use site).
 struct RoundBuffers {
     /// Phase-1 picks in a flat slot-major layout: entry `slot * choices + k` is the
     /// destination server of the k-th pick of the ball at `alive_balls[slot]`.
@@ -808,6 +811,7 @@ impl<'g> SimulationBuilder<'g> {
                 birth_round,
                 settle_round: vec![0; capacity],
                 depart_calendar: Vec::new(),
+                spare_slots: Vec::new(),
             }
         });
         let total_balls = online
@@ -914,6 +918,9 @@ struct OnlineState {
     /// tally and drained into ascending per-server totals, so their push order never
     /// matters.
     depart_calendar: Vec<Vec<u32>>,
+    /// Buffers of drained calendar slots, cleared, each waiting to become the next
+    /// slot the calendar grows, so a steady run stops reallocating its slots.
+    spare_slots: Vec<Vec<u32>>,
 }
 
 /// A protocol run on a fixed graph: owns all mutable state of the process.
@@ -1142,8 +1149,8 @@ impl<'g> Simulation<'g> {
         let mut departures = 0u64;
         let mut arrivals = 0u64;
         if let Some(online) = self.online.as_mut() {
-            if let Some(due) = online.depart_calendar.get_mut(round as usize) {
-                let due = std::mem::take(due);
+            if let Some(slot) = online.depart_calendar.get_mut(round as usize) {
+                let mut due = std::mem::take(slot);
                 departures = due.len() as u64;
                 let tally = &mut self.buffers.server_tally;
                 for &server in &due {
@@ -1154,6 +1161,8 @@ impl<'g> Simulation<'g> {
                 self.protocol
                     .erased_depart(&mut *self.server_states, totals);
                 self.in_service -= departures;
+                due.clear();
+                online.spare_slots.push(due);
             }
             if let Some(&count) = online.arrivals_per_round.get(round as usize - 1) {
                 for _ in 0..count {
@@ -1457,7 +1466,10 @@ impl<'g> Simulation<'g> {
                                     if due <= max_rounds {
                                         let due = due as usize;
                                         if online.depart_calendar.len() <= due {
-                                            online.depart_calendar.resize_with(due + 1, Vec::new);
+                                            let spare = &mut online.spare_slots;
+                                            online.depart_calendar.resize_with(due + 1, || {
+                                                spare.pop().unwrap_or_default()
+                                            });
                                         }
                                         online.depart_calendar[due].push(packed as u32);
                                     }

@@ -7,14 +7,17 @@
 //! count, so pool workers, the test harness and other tests' threads can allocate
 //! freely without polluting a measured window. The engine sizes all of its per-round
 //! scratch in `SimulationBuilder::build` (see `RoundBuffers` in
-//! `src/simulation.rs`), so the steady-state count across any number of rounds must be
-//! exactly zero.
+//! `src/simulation.rs`), so the steady-state count of a batch run across any number
+//! of rounds must be exactly zero. An online run's departure calendar grows with its
+//! horizon; it recycles drained slots' buffers into the slots it grows, so its
+//! count is pinned to a small bound instead.
 //!
 //! Four execution contexts are pinned:
 //!
 //! 1. the classic sequential path (`ThreadPool::install(1)` scopes the rayon stub to
 //!    one thread, exactly the pre-pool behaviour), including a run whose size-derived
-//!    piece plan shrinks from four pieces to one between rounds,
+//!    piece plan shrinks from four pieces to one between rounds, and an online run
+//!    with Poisson arrivals (at most 20 allocations over 100 steady rounds),
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
 //!    the parallel sort / decide / settle / census code paths (carved descriptors,
 //!    piece merges, release aggregation) run through the counted window,
@@ -32,7 +35,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clb_engine::{erase, Demand, ErasedProtocol, Protocol, ServerCtx, Simulation};
+use clb_engine::{
+    erase, ArrivalProcess, Demand, ErasedProtocol, OnlineWorkload, Protocol, ServerCtx,
+    ServiceDistribution, Simulation,
+};
 use clb_faults::FaultPlan;
 use clb_graph::generators;
 use rayon::prelude::*;
@@ -229,6 +235,41 @@ fn round_loop_is_allocation_free_after_build() {
         assert_eq!(
             allocations, 0,
             "step() allocated {allocations} times across a changing piece plan"
+        );
+
+        // Case 4: an open system. Poisson(1024) arrivals with Geometric(1/4) service
+        // times keep ~4k balls in service, and every round drains one departure
+        // calendar slot and grows another. Drained slots hand their buffers to the
+        // slots the calendar grows, so once the first 100 rounds have sized them a
+        // round allocates only when the calendar's horizon or a slot outgrows its
+        // capacity — not once per slot, as a freed-and-regrown calendar would.
+        let mut sim = Simulation::builder(&graph)
+            .protocol(PerRoundCap(16))
+            .demand(Demand::Constant(0))
+            .workload(OnlineWorkload {
+                arrivals: ArrivalProcess::Poisson {
+                    rate: 1024.0,
+                    rounds: 300,
+                },
+                service: ServiceDistribution::Geometric { p: 0.25 },
+            })
+            .seed(9)
+            .build();
+        for _ in 0..100 {
+            sim.step();
+        }
+        let (allocations, ()) = counted(|| {
+            for _ in 0..100 {
+                sim.step();
+            }
+        });
+        assert!(
+            !sim.is_complete(),
+            "every counted round must carry arrivals"
+        );
+        assert!(
+            allocations <= 20,
+            "online step() allocated {allocations} times over rounds 101-200"
         );
     });
 }

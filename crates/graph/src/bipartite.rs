@@ -82,23 +82,41 @@ impl BipartiteGraph {
         mut client_edges: Vec<ServerId>,
         server_degrees: Vec<u64>,
     ) -> Result<Self> {
-        debug_assert_eq!(server_degrees.len(), num_servers);
-        debug_assert_eq!(
-            client_offsets.last().copied(),
-            Some(client_edges.len() as u64)
-        );
         if let Some((client, server)) =
             sort_ranges_detect_duplicate(&client_offsets, &mut client_edges)
         {
             return Err(GraphError::DuplicateEdge { client, server });
         }
-        Ok(Self {
+        Ok(Self::from_checked_csr(
+            num_servers,
+            client_offsets,
+            client_edges,
+            server_degrees,
+        ))
+    }
+
+    /// Wraps client-side CSR arrays that already hold every invariant of the type:
+    /// `client_offsets` runs from 0 to `client_edges.len()`, each block is strictly
+    /// ascending with ids below `num_servers`, and `server_degrees` counts each
+    /// server's occurrences. The snapshot decoder checks all of this in its one pass.
+    pub(crate) fn from_checked_csr(
+        num_servers: usize,
+        client_offsets: Vec<u64>,
+        client_edges: Vec<ServerId>,
+        server_degrees: Vec<u64>,
+    ) -> Self {
+        debug_assert_eq!(server_degrees.len(), num_servers);
+        debug_assert_eq!(
+            client_offsets.last().copied(),
+            Some(client_edges.len() as u64)
+        );
+        Self {
             num_clients: client_offsets.len() - 1,
             num_servers,
             client_offsets,
             client_edges,
             server_degrees,
-        })
+        }
     }
 
     #[inline]

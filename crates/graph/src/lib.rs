@@ -18,8 +18,9 @@
 //!   (`Δ_min(C) ≥ η·log²n`, `Δ_max(S)/Δ_min(C) ≤ ρ`);
 //! * [`spec`] — a serde-serializable [`spec::GraphSpec`] describing a topology so
 //!   experiments can be configured from data;
-//! * [`snapshot`] — a compact binary snapshot format that ships generated graphs to
-//!   shard worker processes.
+//! * [`snapshot`] — a binary snapshot format that ships generated graphs to shard
+//!   worker processes: the client-side CSR itself at 4 B per node and per edge,
+//!   decoded in one validating pass with no edge list and no sort.
 //!
 //! # Example
 //!

@@ -119,13 +119,45 @@ proptest! {
     fn snapshots_round_trip_any_builder_graph(
         edges in prop::collection::vec((0u32..40, 0u32..40), 0..300),
     ) {
-        let mut builder = GraphBuilder::deduplicating(40, 40);
-        for (c, s) in edges {
-            builder.add_edge(c as usize, s as usize).unwrap();
-        }
-        let graph = builder.build().unwrap();
+        let graph = builder_graph(edges);
         assert_well_formed(&graph);
         let decoded = snapshot::decode(&snapshot::encode(&graph)).unwrap();
         prop_assert_eq!(graph, decoded);
     }
+
+    #[test]
+    fn truncated_or_bit_flipped_snapshots_are_rejected(
+        edges in prop::collection::vec((0u32..40, 0u32..40), 0..300),
+        sampled_bits in prop::collection::vec(any::<u64>(), 64..65),
+    ) {
+        let bytes = snapshot::encode(&builder_graph(edges)).to_vec();
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                snapshot::decode(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix of a {}-byte snapshot decoded",
+                bytes.len()
+            );
+        }
+        // Every bit of the 32-byte header, then a sample of bits anywhere: flipping
+        // all of them would make this property slow in debug builds.
+        let bits = 8 * bytes.len() as u64;
+        for bit in (0..256).chain(sampled_bits.iter().map(|b| b % bits)) {
+            let mut flipped = bytes.clone();
+            flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+            prop_assert!(
+                snapshot::decode(&flipped).is_err(),
+                "flipping bit {bit} went unnoticed"
+            );
+        }
+    }
+}
+
+/// A graph on 40 clients and 40 servers with the given edges, duplicates dropped;
+/// short edge lists leave some clients and servers isolated.
+fn builder_graph(edges: Vec<(u32, u32)>) -> BipartiteGraph {
+    let mut builder = GraphBuilder::deduplicating(40, 40);
+    for (c, s) in edges {
+        builder.add_edge(c as usize, s as usize).unwrap();
+    }
+    builder.build().unwrap()
 }
