@@ -5,7 +5,7 @@
 //! a fresh graph *and* a fresh protocol execution per trial (trial `i` uses seed
 //! `base_seed + i` for both), runs the trials in parallel with rayon, and aggregates the
 //! per-trial outcomes into an [`ExperimentReport`] with the summary statistics the
-//! experiment tables in `EXPERIMENTS.md` report.
+//! tables of the `exp_*` binaries in `crates/bench` report.
 //!
 //! Aggregation streams: each trial's outcome is folded into an
 //! [`OutcomeAccumulator`](crate::accumulate::OutcomeAccumulator) as soon as it is
@@ -20,7 +20,7 @@ use clb_analysis::streaming::StreamingHistogram;
 use clb_analysis::{Histogram, Summary};
 use clb_engine::{
     BurnedFractionObserver, Demand, NeighborhoodMassObserver, Observer, OnlineWorkload,
-    RoundRecord, RoundView, RunResult, SimConfig, Simulation, TrajectoryObserver,
+    RoundRecord, RunResult, SimConfig, Simulation, TrajectoryObserver,
 };
 use clb_faults::FaultPlan;
 use clb_graph::{DegreeStats, GraphSpec};
@@ -209,8 +209,9 @@ impl ExperimentConfig {
 
         let mut burned = BurnedFractionObserver::new();
         let mut mass = NeighborhoodMassObserver::new();
+        // An online trial's statistics are computed from every round's record, so
+        // the trajectory is recorded for it whether or not it is reported.
         let mut trajectory = TrajectoryObserver::new();
-        let mut online_recorder = OnlineRecorder::default();
         let result = {
             let mut observers: Vec<&mut dyn Observer> = Vec::new();
             if self.measurements.burned_fraction {
@@ -219,11 +220,8 @@ impl ExperimentConfig {
             if self.measurements.neighborhood_mass {
                 observers.push(&mut mass);
             }
-            if self.measurements.trajectory {
+            if self.measurements.trajectory || self.workload.is_some() {
                 observers.push(&mut trajectory);
-            }
-            if self.workload.is_some() {
-                observers.push(&mut online_recorder);
             }
             sim.run_observed(&mut observers)
         };
@@ -239,7 +237,7 @@ impl ExperimentConfig {
             let latencies = sim
                 .settle_latencies()
                 .expect("a workload-attached simulation reports settle latencies");
-            OnlineStats::compute(&online_recorder.records, &latencies)
+            OnlineStats::compute(&trajectory.records, &latencies)
         });
         TrialOutcome {
             seed,
@@ -287,20 +285,6 @@ impl ExperimentConfig {
             .pop()
             .expect("at least one trial folded");
         Ok(accumulator.into_report(self.clone()))
-    }
-}
-
-/// Internal observer that keeps every [`RoundRecord`] of a workload-attached run so
-/// [`OnlineStats`] can be computed after it; attached only when a workload is
-/// configured, so batch trials pay nothing.
-#[derive(Default)]
-struct OnlineRecorder {
-    records: Vec<RoundRecord>,
-}
-
-impl Observer for OnlineRecorder {
-    fn on_round(&mut self, view: &RoundView<'_>) {
-        self.records.push(*view.record);
     }
 }
 

@@ -1,7 +1,8 @@
 //! Plain-text / markdown table rendering for experiment output.
 //!
-//! Every experiment binary prints its results as a GitHub-flavoured markdown table so
-//! the rows can be pasted straight into `EXPERIMENTS.md`.
+//! Every experiment binary (the `exp_*` binaries in `crates/bench`) prints its results
+//! as GitHub-flavoured markdown tables built here, so the rows paste straight into
+//! any markdown document.
 
 /// A simple column-aligned markdown table builder.
 #[derive(Debug, Clone, Default)]

@@ -31,11 +31,11 @@
 //!   server-major for phase 2, the per-server accept counts, the per-piece settle
 //!   scratch, the per-server tally releases and departures drain through, the closed
 //!   census and the double-buffered alive-ball list) lives in a `RoundBuffers` struct
-//!   owned by the simulation and sized once at build time for the largest round —
-//!   piece descriptors live on the stack. An online run's departure calendar grows
-//!   with its horizon but recycles each drained slot's buffer, so it allocates only
-//!   when a slot or the horizon outgrows its capacity. See the `simulation` module
-//!   docs and the counting-allocator harness in `tests/alloc_free.rs`.
+//!   owned by the simulation and sized once at build time for the largest round.
+//!   An online run's departure calendar grows with its horizon but recycles each
+//!   drained slot's buffer, so it allocates only when a slot or the horizon outgrows
+//!   its capacity. See the `simulation` module docs and the counting-allocator
+//!   harness in `tests/alloc_free.rs`.
 //! * [`observe`] — round observers that record the quantities the paper's analysis
 //!   tracks: the burned/saturated fraction `S_t`, the per-neighbourhood request mass
 //!   `r_t(N(v))`, alive balls, loads and work. Observers can be borrowed per run
@@ -130,8 +130,8 @@ pub use config::SimConfig;
 pub use demand::Demand;
 pub use erased::{erase, DecideHook, DecidePhase, ErasedProtocol, ServerStates};
 pub use observe::{
-    AliveBallsObserver, BurnedFractionObserver, MaxLoadObserver, NeighborhoodMassObserver,
-    Observer, RoundView, TrajectoryObserver,
+    BurnedFractionObserver, MaxLoadObserver, NeighborhoodMassObserver, Observer, RoundView,
+    TrajectoryObserver,
 };
 pub use protocol::{Protocol, ServerCtx, SettleRule};
 pub use simulation::{RoundRecord, RunResult, Simulation, SimulationBuilder};

@@ -114,26 +114,6 @@ impl Observer for MaxLoadObserver {
     }
 }
 
-/// Records the alive-ball count after every round.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct AliveBallsObserver {
-    /// Alive balls after each round.
-    pub alive: Vec<u64>,
-}
-
-impl AliveBallsObserver {
-    /// Creates the observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Observer for AliveBallsObserver {
-    fn on_round(&mut self, view: &RoundView<'_>) {
-        self.alive.push(view.record.alive_after);
-    }
-}
-
 /// Measures `S_t`: the maximum, over all clients `v`, of the fraction of closed
 /// (burned/saturated) servers in `N(v)` — Definition 3 of the paper.
 ///
@@ -276,7 +256,6 @@ mod tests {
         MaxLoadObserver,
         BurnedFractionObserver,
         NeighborhoodMassObserver,
-        AliveBallsObserver,
     ) {
         let g = generators::regular_random(64, 16, 3).unwrap();
         let mut sim = Simulation::builder(&g)
@@ -289,31 +268,22 @@ mod tests {
         let mut max_load = MaxLoadObserver::new();
         let mut burned = BurnedFractionObserver::new();
         let mut mass = NeighborhoodMassObserver::new();
-        let mut alive = AliveBallsObserver::new();
-        sim.run_observed(&mut [
-            &mut trajectory,
-            &mut max_load,
-            &mut burned,
-            &mut mass,
-            &mut alive,
-        ]);
-        (trajectory, max_load, burned, mass, alive)
+        sim.run_observed(&mut [&mut trajectory, &mut max_load, &mut burned, &mut mass]);
+        (trajectory, max_load, burned, mass)
     }
 
     #[test]
     fn trajectory_records_every_round() {
-        let (trajectory, _, _, _, alive) = run_all_observers(8);
+        let (trajectory, _, _, _) = run_all_observers(8);
         assert!(!trajectory.records.is_empty());
         for (i, r) in trajectory.records.iter().enumerate() {
             assert_eq!(r.round as usize, i + 1);
         }
-        assert_eq!(alive.alive.len(), trajectory.records.len());
-        assert_eq!(trajectory.alive_series(), alive.alive);
     }
 
     #[test]
     fn alive_decay_ratios_are_fractions() {
-        let (trajectory, _, _, _, _) = run_all_observers(8);
+        let (trajectory, _, _, _) = run_all_observers(8);
         let ratios = trajectory.alive_decay_ratios(128);
         assert_eq!(ratios.len(), trajectory.records.len());
         assert!(ratios.iter().all(|&r| (0.0..=1.0).contains(&r)));
@@ -334,7 +304,7 @@ mod tests {
 
     #[test]
     fn burned_fraction_is_a_valid_fraction_and_monotone_for_permanent_closure() {
-        let (_, _, burned, _, _) = run_all_observers(4);
+        let (_, _, burned, _) = run_all_observers(4);
         assert!(!burned.max_fraction_per_round.is_empty());
         for &f in &burned.max_fraction_per_round {
             assert!((0.0..=1.0).contains(&f));
@@ -348,7 +318,7 @@ mod tests {
 
     #[test]
     fn neighborhood_mass_starts_at_roughly_d_delta() {
-        let (_, _, _, mass, _) = run_all_observers(8);
+        let (_, _, _, mass) = run_all_observers(8);
         // Round 1: every ball is alive, so the expected mass of a Δ-neighbourhood is
         // d·Δ = 2·16 = 32; the max over 64 clients cannot exceed the total 128 and
         // should be at least the mean.
@@ -366,7 +336,7 @@ mod tests {
 
     #[test]
     fn generous_capacity_closes_no_server() {
-        let (_, _, burned, _, _) = run_all_observers(1_000_000);
+        let (_, _, burned, _) = run_all_observers(1_000_000);
         assert_eq!(burned.peak(), 0.0);
     }
 }

@@ -26,7 +26,7 @@
 //! server's segment (ascending request index within a server — the same canonical
 //! order the former explicit counting-sort permutation produced), and phase 3 tests
 //! `rank < accept_count[server]` instead of reading a permuted index array. Every
-//! parallel write lands in a disjoint carved sub-slice, which is why the whole engine
+//! parallel write lands in one chunk of a zipped drive, which is why the whole engine
 //! stays `#![forbid(unsafe_code)]`.
 
 use crate::{
@@ -43,14 +43,15 @@ use clb_rng::{RandomSource, StreamFactory};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Sentinel for "ball not yet assigned to any server".
 const UNASSIGNED: u32 = u32::MAX;
 
-/// Upper bound on the number of pieces any phase is split into. Piece descriptor
-/// arrays live on the stack (`[Option<_>; MAX_INTRA_PIECES]`), so `step()` stays
-/// allocation-free no matter the plan.
+/// Upper bound on the number of pieces any phase is split into. It bounds the sort's
+/// histogram rows in [`RoundBuffers`] and the settle's per-piece counts, which live on
+/// the stack (`[SettleCounts; MAX_INTRA_PIECES]`), so `step()` stays allocation-free
+/// no matter the plan.
 const MAX_INTRA_PIECES: usize = 32;
 
 /// Minimum requests per sort piece; below this the histogram passes run serially.
@@ -62,12 +63,10 @@ const MIN_SERVER_PIECE: usize = 1 << 12;
 /// Minimum ball slots per phase-3 piece.
 const MIN_SLOT_PIECE: usize = 1 << 14;
 
-/// The `k`-th of `pieces` contiguous ranges tiling `0..len` (balanced to within one).
-///
-/// Ranges are exactly adjacent (`range(k).end == range(k + 1).start`), which the
-/// carving loops below rely on to split buffers without gaps.
-fn piece_range(len: usize, pieces: usize, k: usize) -> Range<usize> {
-    (k * len / pieces)..((k + 1) * len / pieces)
+/// The chunk length that tiles `len` items into at most `pieces` contiguous chunks.
+/// Never 0, so an empty round yields no chunks at all.
+fn chunk_len(len: usize, pieces: usize) -> usize {
+    len.div_ceil(pieces.max(1)).max(1)
 }
 
 /// How many pieces each phase of a round is split into.
@@ -162,16 +161,14 @@ struct RoundBuffers {
     closed: Vec<bool>,
     /// Double-buffer swapped with `Simulation::alive_balls` at the end of phase 3.
     alive_next: Vec<u32>,
-    /// Per-piece survivor lists (phase 3), concatenated into `alive_next` in
-    /// piece-index order after the join; online, each piece's prefix then holds its
-    /// settled balls' service times.
+    /// Per-piece settle scratch (phase 3), `choices` entries per ball slot: each
+    /// piece's chunk holds its survivors first, then its released servers. Survivors
+    /// are concatenated into `alive_next` in piece-index order after the join; online,
+    /// each piece's prefix then holds its settled balls' service times.
     alive_scratch: Vec<u32>,
     /// Per-piece settled balls (phase 3), packed `(ball << 32) | server`, applied to
     /// `ball_assigned` after the join.
     assigned_scratch: Vec<u64>,
-    /// Per-piece released-server lists (phase 3); empty when `choices == 1`, which
-    /// can never produce surplus accepts.
-    release_scratch: Vec<u32>,
     /// Per-server tally that a round's departures and surplus releases each count
     /// into and [`drain_server_tally`] empties again, so it is all-zero between uses.
     /// Empty unless `choices > 1` or an online workload is attached.
@@ -218,13 +215,8 @@ impl RoundBuffers {
             accept_count: vec![0; num_servers],
             closed: vec![false; num_servers],
             alive_next: Vec::with_capacity(total_balls),
-            alive_scratch: vec![0; total_balls],
+            alive_scratch: vec![0; request_capacity],
             assigned_scratch: vec![0; total_balls],
-            release_scratch: if choices > 1 {
-                vec![0; request_capacity]
-            } else {
-                Vec::new()
-            },
             server_tally: if tallies {
                 vec![0; num_servers]
             } else {
@@ -389,53 +381,6 @@ fn sort_pass_rebase(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Piece descriptors. Each phase carves its buffers into disjoint sub-slices held by
-// stack-allocated descriptors, then `drive_pieces` runs them in parallel; merges
-// afterwards walk the descriptors in piece-index order. All borrows are plain safe
-// `split_at_mut` carving — no unsafe, no overlapping writes.
-// ---------------------------------------------------------------------------
-
-/// Runs every populated piece descriptor, in parallel when the pool allows it. The
-/// merge discipline is the caller's: walk `pieces` in index order afterwards.
-fn drive_pieces<D: Send, F: Fn(&mut D) + Send + Sync>(pieces: &mut [Option<D>], task: F) {
-    pieces.par_iter_mut().for_each(|slot| {
-        if let Some(piece) = slot.as_mut() {
-            task(piece);
-        }
-    });
-}
-
-/// Pass-A piece: one contiguous request range plus its own histogram row.
-struct HistPiece<'a> {
-    req: &'a [u32],
-    rank: &'a mut [u32],
-    row: &'a mut [u32],
-}
-
-/// Pass-B piece: one contiguous server range of the offset matrix and totals.
-struct CombinePiece<'a> {
-    server_lo: usize,
-    off: &'a mut [u32],
-    totals: &'a mut [u32],
-}
-
-/// Pass-C piece: one contiguous request range, rebased in place.
-struct RebasePiece<'a> {
-    piece: usize,
-    req: &'a [u32],
-    rank: &'a mut [u32],
-}
-
-/// Phase-2 piece: one contiguous server range (states, loads, accept counts).
-struct DecidePiece<'a, S> {
-    server_lo: usize,
-    states: &'a mut [S],
-    loads: &'a mut [u32],
-    incoming: &'a [u32],
-    accept: &'a mut [u32],
-}
-
 /// Phase-3 per-piece output tallies.
 #[derive(Debug, Clone, Copy, Default)]
 struct SettleCounts {
@@ -444,19 +389,19 @@ struct SettleCounts {
     released: u32,
 }
 
-/// Phase-3 piece: one contiguous ball-slot range writing into carved scratch.
+/// Phase-3 piece: one contiguous ball-slot range writing into its own scratch.
 struct SettlePiece<'a> {
-    slot_lo: usize,
     slots: &'a [u32],
     alive_out: &'a mut [u32],
     assigned_out: &'a mut [u64],
     release_out: &'a mut [u32],
-    counts: SettleCounts,
 }
 
 impl SettlePiece<'_> {
-    /// Settles every ball in this piece's slot range; surplus accepts are recorded for
-    /// the post-join release aggregation, survivors go to `alive_out` in slot order.
+    /// Settles every ball in this piece's slot range, whose requests are the
+    /// `choices · slots` entries of `request_server` / `request_rank`; surplus accepts
+    /// are recorded for the post-join release aggregation, survivors go to `alive_out`
+    /// in slot order.
     ///
     /// Under [`SettleRule::FirstAccepted`] the first accepted choice wins
     /// (`rank < accept_count`). Under [`SettleRule::LeastLoaded`] the accepted choice
@@ -471,12 +416,12 @@ impl SettlePiece<'_> {
         request_rank: &[u32],
         accept_count: &[u32],
         loads: &[u32],
-    ) {
+    ) -> SettleCounts {
         let mut alive = 0usize;
         let mut assigned = 0usize;
         let mut released = 0usize;
         for (i, &ball) in self.slots.iter().enumerate() {
-            let base = (self.slot_lo + i) * choices;
+            let base = i * choices;
             // Pick the winning accepted request, if any. `accept_count[server]` is
             // fresh for every request's server: that server received at least one
             // request this round (this one), so phase 2 visited it.
@@ -521,78 +466,53 @@ impl SettlePiece<'_> {
                 alive += 1;
             }
         }
-        self.counts = SettleCounts {
+        SettleCounts {
             alive: alive as u32,
             assigned: assigned as u32,
             released: released as u32,
-        };
+        }
     }
 }
 
-/// Census piece: one contiguous server range folding closed flags and max load.
-struct CensusPiece<'a, S> {
-    states: &'a [S],
-    loads: &'a [u32],
-    closed: &'a mut [bool],
-    closed_count: u64,
-    max_load: u32,
-}
-
-/// Phase 2 over carved server ranges, the kernel behind
+/// Phase 2 over contiguous server chunks, the kernel behind
 /// [`ErasedProtocol::erased_decide`]: `rule` decides for every server with incoming
-/// requests, in ascending order within a piece. Each decision touches only its own
-/// server's state, load and accept count, so the pieces are disjoint.
+/// requests, in ascending order within a chunk. Each decision touches only its own
+/// server's state, load and accept count, so the chunks are disjoint.
 pub(crate) fn decide_pieces<S: Send>(
     states: &mut [S],
     phase: DecidePhase<'_>,
     rule: impl Fn(&mut S, &ServerCtx) -> u32 + Sync,
 ) {
-    let (incoming, pieces, round) = (phase.incoming, phase.pieces, phase.round);
-    let mut descs: [Option<DecidePiece<S>>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-    let mut states_rest = states;
-    let mut loads_rest = phase.loads;
-    let mut accept_rest = phase.accept;
-    let mut consumed = 0;
-    for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-        let hi = piece_range(incoming.len(), pieces, k).end;
-        let take = hi - consumed;
-        let (states, rest) = std::mem::take(&mut states_rest).split_at_mut(take);
-        states_rest = rest;
-        let (loads, rest) = std::mem::take(&mut loads_rest).split_at_mut(take);
-        loads_rest = rest;
-        let (accept, rest) = std::mem::take(&mut accept_rest).split_at_mut(take);
-        accept_rest = rest;
-        *slot = Some(DecidePiece {
-            server_lo: consumed,
-            states,
-            loads,
-            incoming: &incoming[consumed..hi],
-            accept,
-        });
-        consumed = hi;
-    }
-    drive_pieces(&mut descs[..pieces], |p| {
-        for i in 0..p.incoming.len() {
-            let incoming = p.incoming[i];
-            if incoming == 0 {
-                continue;
+    let round = phase.round;
+    let chunk = chunk_len(phase.incoming.len(), phase.pieces);
+    states
+        .par_chunks_mut(chunk)
+        .zip(phase.loads.par_chunks_mut(chunk))
+        .zip(phase.accept.par_chunks_mut(chunk))
+        .zip(phase.incoming.par_chunks(chunk))
+        .enumerate()
+        .for_each(|(k, (((states, loads), accept), incoming))| {
+            for (i, &incoming) in incoming.iter().enumerate() {
+                if incoming == 0 {
+                    continue;
+                }
+                let ctx = ServerCtx {
+                    server: (k * chunk + i) as u32,
+                    round,
+                    current_load: loads[i],
+                    incoming,
+                };
+                let accepted = rule(&mut states[i], &ctx).min(incoming);
+                loads[i] += accepted;
+                accept[i] = accepted;
             }
-            let ctx = ServerCtx {
-                server: (p.server_lo + i) as u32,
-                round,
-                current_load: p.loads[i],
-                incoming,
-            };
-            let accept = rule(&mut p.states[i], &ctx).min(incoming);
-            p.loads[i] += accept;
-            p.accept[i] = accept;
-        }
-    });
+        });
 }
 
-/// The census over carved server ranges, the kernel behind
+/// The census over contiguous server chunks, the kernel behind
 /// [`ErasedProtocol::erased_census`]: closed flags, closed count and max load in one
-/// pass, reduced in piece-index order.
+/// pass. Each chunk folds its count and maximum into two atomics; integer sum and max
+/// commute, so the totals do not depend on which chunk finishes first.
 pub(crate) fn census_pieces<S: Sync>(
     states: &[S],
     loads: &[u32],
@@ -600,40 +520,27 @@ pub(crate) fn census_pieces<S: Sync>(
     pieces: usize,
     is_closed: impl Fn(&S, u32) -> bool + Sync,
 ) -> (u64, u32) {
-    let mut descs: [Option<CensusPiece<S>>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-    let mut closed_rest = closed;
-    let mut consumed = 0;
-    for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-        let hi = piece_range(loads.len(), pieces, k).end;
-        let (closed, rest) = std::mem::take(&mut closed_rest).split_at_mut(hi - consumed);
-        closed_rest = rest;
-        *slot = Some(CensusPiece {
-            states: &states[consumed..hi],
-            loads: &loads[consumed..hi],
-            closed,
-            closed_count: 0,
-            max_load: 0,
+    let chunk = chunk_len(loads.len(), pieces);
+    let closed_count = AtomicU64::new(0);
+    let max_load = AtomicU32::new(0);
+    states
+        .par_chunks(chunk)
+        .zip(loads.par_chunks(chunk))
+        .zip(closed.par_chunks_mut(chunk))
+        .for_each(|((states, loads), closed)| {
+            let mut count = 0u64;
+            let mut max = 0u32;
+            for ((flag, state), &load) in closed.iter_mut().zip(states).zip(loads) {
+                let closed = is_closed(state, load);
+                *flag = closed;
+                count += u64::from(closed);
+                max = max.max(load);
+            }
+            // Relaxed suffices: the totals are read only after the drive has joined.
+            closed_count.fetch_add(count, Ordering::Relaxed);
+            max_load.fetch_max(max, Ordering::Relaxed);
         });
-        consumed = hi;
-    }
-    drive_pieces(&mut descs[..pieces], |p| {
-        let mut count = 0u64;
-        let mut max = 0u32;
-        for ((flag, state), &load) in p.closed.iter_mut().zip(p.states).zip(p.loads) {
-            let closed = is_closed(state, load);
-            *flag = closed;
-            count += u64::from(closed);
-            max = max.max(load);
-        }
-        p.closed_count = count;
-        p.max_load = max;
-    });
-    descs[..pieces]
-        .iter()
-        .flatten()
-        .fold((0, 0), |(total, max), p| {
-            (total + p.closed_count, max.max(p.max_load))
-        })
+    (closed_count.into_inner(), max_load.into_inner())
 }
 
 /// Fluent constructor for [`Simulation`], obtained from [`Simulation::builder`].
@@ -1194,7 +1101,6 @@ impl<'g> Simulation<'g> {
             alive_next,
             alive_scratch,
             assigned_scratch,
-            release_scratch,
             server_tally,
             server_totals,
             piece_hist,
@@ -1231,98 +1137,49 @@ impl<'g> Simulation<'g> {
         // position of request `j` within its server's segment, counting in ascending
         // request index — the order the former explicit counting sort produced. The
         // rank buffer is sliced, never zeroed: pass A writes every slot in the slice.
-        if plan.sort == 1 {
+        let requests = &request_server[..total_requests];
+        let ranks = &mut request_rank[..total_requests];
+        let chunk = chunk_len(total_requests, plan.sort);
+        let rows = total_requests.div_ceil(chunk);
+        if rows <= 1 {
             // Fused serial sort: one pass fills both ranks and per-server totals.
-            sort_pass_histogram(
-                &request_server[..total_requests],
-                &mut request_rank[..total_requests],
-                requests_per_server,
-            );
+            sort_pass_histogram(requests, ranks, requests_per_server);
         } else {
-            let pieces = plan.sort;
-            // The round's histogram rows and offsets: the buffers hold enough for the
-            // largest plan, and pass B reads its piece count off the slice length.
-            let piece_hist = &mut piece_hist[..pieces * num_servers];
-            let piece_off = &mut piece_off[..pieces * num_servers];
-            // Pass A — per-piece histograms + piece-local ranks, carved by request range.
-            {
-                let req_all: &[u32] = &request_server[..total_requests];
-                let mut descs: [Option<HistPiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut rank_rest: &mut [u32] = &mut request_rank[..total_requests];
-                let mut hist_rest: &mut [u32] = piece_hist;
-                let mut consumed = 0;
-                for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-                    let hi = piece_range(total_requests, pieces, k).end;
-                    let (rank, rest) = std::mem::take(&mut rank_rest).split_at_mut(hi - consumed);
-                    rank_rest = rest;
-                    let (row, rest) = std::mem::take(&mut hist_rest).split_at_mut(num_servers);
-                    hist_rest = rest;
-                    *slot = Some(HistPiece {
-                        req: &req_all[consumed..hi],
-                        rank,
-                        row,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..pieces], |p| {
-                    sort_pass_histogram(p.req, p.rank, p.row)
+            // The round's histogram rows and offsets, one row per request chunk: the
+            // buffers hold enough for the largest plan, and pass B reads the row count
+            // off the slice length.
+            let piece_hist = &mut piece_hist[..rows * num_servers];
+            let piece_off = &mut piece_off[..rows * num_servers];
+            // Pass A — per-chunk histograms + chunk-local ranks.
+            requests
+                .par_chunks(chunk)
+                .zip(ranks.par_chunks_mut(chunk))
+                .zip(piece_hist.par_chunks_mut(num_servers))
+                .for_each(|((requests, ranks), row)| sort_pass_histogram(requests, ranks, row));
+            // Pass B — exclusive prefix across rows, by server chunk.
+            let hist: &[u32] = piece_hist;
+            let server_chunk = chunk_len(num_servers, plan.server);
+            piece_off
+                .par_chunks_mut(server_chunk * rows)
+                .zip(requests_per_server.par_chunks_mut(server_chunk))
+                .enumerate()
+                .for_each(|(k, (off, totals))| {
+                    sort_pass_combine(hist, num_servers, k * server_chunk, off, totals)
                 });
-            }
-            // Pass B — exclusive prefix across pieces, carved by server range.
-            {
-                let hist: &[u32] = piece_hist;
-                let combine_pieces = plan.server;
-                let mut descs: [Option<CombinePiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut off_rest: &mut [u32] = piece_off;
-                let mut totals_rest: &mut [u32] = requests_per_server;
-                let mut consumed = 0;
-                for (k, slot) in descs[..combine_pieces].iter_mut().enumerate() {
-                    let hi = piece_range(num_servers, combine_pieces, k).end;
-                    let take = hi - consumed;
-                    let (off, rest) = std::mem::take(&mut off_rest).split_at_mut(take * pieces);
-                    off_rest = rest;
-                    let (totals, rest) = std::mem::take(&mut totals_rest).split_at_mut(take);
-                    totals_rest = rest;
-                    *slot = Some(CombinePiece {
-                        server_lo: consumed,
-                        off,
-                        totals,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..combine_pieces], |p| {
-                    sort_pass_combine(hist, num_servers, p.server_lo, p.off, p.totals)
+            // Pass C — rebase chunk-local ranks to global within-segment ranks.
+            let off: &[u32] = piece_off;
+            requests
+                .par_chunks(chunk)
+                .zip(ranks.par_chunks_mut(chunk))
+                .enumerate()
+                .for_each(|(row, (requests, ranks))| {
+                    sort_pass_rebase(requests, ranks, off, row, rows)
                 });
-            }
-            // Pass C — rebase piece-local ranks to global within-segment ranks.
-            {
-                let req_all: &[u32] = &request_server[..total_requests];
-                let off: &[u32] = piece_off;
-                let mut descs: [Option<RebasePiece>; MAX_INTRA_PIECES] =
-                    std::array::from_fn(|_| None);
-                let mut rank_rest: &mut [u32] = &mut request_rank[..total_requests];
-                let mut consumed = 0;
-                for (k, slot) in descs[..pieces].iter_mut().enumerate() {
-                    let hi = piece_range(total_requests, pieces, k).end;
-                    let (rank, rest) = std::mem::take(&mut rank_rest).split_at_mut(hi - consumed);
-                    rank_rest = rest;
-                    *slot = Some(RebasePiece {
-                        piece: k,
-                        req: &req_all[consumed..hi],
-                        rank,
-                    });
-                    consumed = hi;
-                }
-                drive_pieces(&mut descs[..pieces], |p| {
-                    sort_pass_rebase(p.req, p.rank, off, p.piece, pieces)
-                });
-            }
         }
+        let ranks: &[u32] = ranks;
 
-        // Phase 2 — per-server threshold decisions over carved server ranges, one call
-        // into the protocol (see `decide_pieces`).
+        // Phase 2 — per-server threshold decisions over server chunks, one call into
+        // the protocol (see `decide_pieces`).
         //
         // Covering invariant for `accept_count`: entries for servers with zero
         // incoming requests stay stale, and phase 3 only reads `accept_count[s]` for
@@ -1339,167 +1196,154 @@ impl<'g> Simulation<'g> {
             },
         );
 
-        // Phase 3 — balls settle over carved slot ranges. With a single choice per
-        // round each ball has exactly one request; with k choices a ball keeps the
-        // first accepted destination and surplus accepts are *recorded* per piece,
-        // then aggregated into one `server_on_release` call per server, applied in
-        // ascending server order after the join. Both the single-piece and the
+        // Phase 3 — balls settle over ball-slot chunks, each with its own `choices`
+        // requests per slot and `choices` scratch entries per slot. With a single
+        // choice per round each ball has exactly one request; with k choices a ball
+        // keeps the first accepted destination and surplus accepts are *recorded* per
+        // piece, then aggregated into one `server_on_release` call per server, applied
+        // in ascending server order after the join. Both the single-piece and the
         // many-piece plan use this exact aggregation, so the piece count can never
         // change what a protocol observes.
+        let slot_chunk = chunk_len(alive, plan.slot);
+        let request_chunk = slot_chunk * per_ball;
+        let scratch = &mut alive_scratch[..total_requests];
+        let assigned = &mut assigned_scratch[..alive];
+        let mut counts = [SettleCounts::default(); MAX_INTRA_PIECES];
+        // Post-decision load snapshot for the least-loaded settle rule; the same slice
+        // is visible to every piece, so the pick is scheduling-independent.
+        let loads_snapshot: &[u32] = &self.server_load;
+        let accept_all: &[u32] = accept_count;
+        self.alive_balls
+            .par_chunks(slot_chunk)
+            .zip(requests.par_chunks(request_chunk))
+            .zip(ranks.par_chunks(request_chunk))
+            .zip(scratch.par_chunks_mut(request_chunk))
+            .zip(assigned.par_chunks_mut(slot_chunk))
+            .zip(counts.par_iter_mut())
+            .for_each(
+                |(((((slots, requests), ranks), scratch), assigned_out), counts)| {
+                    let (alive_out, release_out) = scratch.split_at_mut(slots.len());
+                    let mut piece = SettlePiece {
+                        slots,
+                        alive_out,
+                        assigned_out,
+                        release_out,
+                    };
+                    *counts =
+                        piece.run(per_ball, rule, requests, ranks, accept_all, loads_snapshot);
+                },
+            );
+
+        // Merge in piece-index order: survivors concatenate piece-by-piece (so
+        // `alive_next` is in ascending slot order, exactly the serial order).
         let mut balls_assigned = 0u64;
-        {
-            let slot_pieces = plan.slot;
-            let slots_all: &[u32] = &self.alive_balls;
-            let req_all: &[u32] = &request_server[..total_requests];
-            let rank_all: &[u32] = &request_rank[..total_requests];
-            let accept_all: &[u32] = accept_count;
-            let mut descs: [Option<SettlePiece>; MAX_INTRA_PIECES] = std::array::from_fn(|_| None);
-            let mut alive_rest: &mut [u32] = &mut alive_scratch[..alive];
-            let mut assigned_rest: &mut [u64] = &mut assigned_scratch[..alive];
-            let mut release_rest: &mut [u32] = if per_ball > 1 {
-                &mut release_scratch[..total_requests]
-            } else {
-                &mut []
-            };
-            let mut consumed = 0;
-            for (k, slot) in descs[..slot_pieces].iter_mut().enumerate() {
-                let hi = piece_range(alive, slot_pieces, k).end;
-                let take = hi - consumed;
-                let (alive_out, rest) = std::mem::take(&mut alive_rest).split_at_mut(take);
-                alive_rest = rest;
-                let (assigned_out, rest) = std::mem::take(&mut assigned_rest).split_at_mut(take);
-                assigned_rest = rest;
-                let release_out: &mut [u32] = if per_ball > 1 {
-                    let (r, rest) = std::mem::take(&mut release_rest).split_at_mut(take * per_ball);
-                    release_rest = rest;
-                    r
-                } else {
-                    &mut []
-                };
-                *slot = Some(SettlePiece {
-                    slot_lo: consumed,
-                    slots: &slots_all[consumed..hi],
-                    alive_out,
-                    assigned_out,
-                    release_out,
-                    counts: SettleCounts::default(),
-                });
-                consumed = hi;
-            }
-            // Post-decision load snapshot for the least-loaded settle rule; the same
-            // slice is visible to every piece, so the pick is scheduling-independent.
-            let loads_snapshot: &[u32] = &self.server_load;
-            drive_pieces(&mut descs[..slot_pieces], |p| {
-                p.run(
-                    per_ball,
-                    rule,
-                    req_all,
-                    rank_all,
-                    accept_all,
-                    loads_snapshot,
-                )
-            });
+        alive_next.clear();
+        for (scratch, counts) in scratch.chunks(request_chunk).zip(&counts) {
+            alive_next.extend_from_slice(&scratch[..counts.alive as usize]);
+            balls_assigned += u64::from(counts.assigned);
+        }
 
-            // Merge in piece-index order: survivors concatenate piece-by-piece (so
-            // `alive_next` is in ascending slot order, exactly the serial order).
-            alive_next.clear();
-            for p in descs[..slot_pieces].iter().flatten() {
-                alive_next.extend_from_slice(&p.alive_out[..p.counts.alive as usize]);
-                balls_assigned += u64::from(p.counts.assigned);
-            }
-
-            // Online: draw every settled ball's service time on the pool. Each draw
-            // is keyed by ball id alone and lands index-addressed in the prefix of its
-            // piece's `alive_out`, dead now that the survivors are merged (a piece's
-            // slots hold its survivors plus its settled balls, so it is long enough).
-            let seed = self.config.seed;
-            if let Some(online) = self.online.as_ref() {
-                let workload = &online.workload;
-                drive_pieces(&mut descs[..slot_pieces], |p| {
-                    let settled = p.counts.assigned as usize;
-                    p.alive_out[..settled]
+        // Online: draw every settled ball's service time on the pool. Each draw is
+        // keyed by ball id alone and lands index-addressed in the prefix of its piece's
+        // scratch, dead now that the survivors are merged (a piece's slots hold its
+        // survivors plus its settled balls, so the prefix is long enough and stops
+        // short of the piece's releases).
+        let seed = self.config.seed;
+        if let Some(online) = self.online.as_ref() {
+            let workload = &online.workload;
+            scratch
+                .par_chunks_mut(request_chunk)
+                .zip(assigned.par_chunks(slot_chunk))
+                .zip(counts.par_iter())
+                .for_each(|((scratch, assigned), counts)| {
+                    let settled = counts.assigned as usize;
+                    scratch[..settled]
                         .par_iter_mut()
-                        .zip(p.assigned_out[..settled].par_iter())
+                        .zip(assigned[..settled].par_iter())
                         .for_each(|(service, &packed)| {
                             *service = workload.service_rounds(seed, packed >> 32);
                         });
                 });
-            }
+        }
 
-            // The two remaining applications touch disjoint state (ball assignments
-            // plus online settle bookkeeping vs server loads/states), so they run as
-            // the two arms of a join.
-            let descs_done = &descs[..slot_pieces];
-            let ball_assigned = &mut self.ball_assigned;
-            let online = self.online.as_mut();
-            let max_rounds = self.config.max_rounds;
-            let server_load = &mut self.server_load;
-            let server_states = &mut self.server_states;
-            let protocol = &*self.protocol;
-            rayon::join(
-                || match online {
-                    None => {
-                        for p in descs_done.iter().flatten() {
-                            for &packed in &p.assigned_out[..p.counts.assigned as usize] {
-                                ball_assigned[(packed >> 32) as usize] = packed as u32;
-                            }
+        // The two remaining applications touch disjoint state (ball assignments plus
+        // online settle bookkeeping vs server loads/states), so they run as the two
+        // arms of a join; both walk the pieces' chunks in index order.
+        let scratch: &[u32] = scratch;
+        let assigned: &[u64] = assigned;
+        let ball_assigned = &mut self.ball_assigned;
+        let online = self.online.as_mut();
+        let max_rounds = self.config.max_rounds;
+        let server_load = &mut self.server_load;
+        let server_states = &mut self.server_states;
+        let protocol = &*self.protocol;
+        let pieces = || {
+            scratch
+                .chunks(request_chunk)
+                .zip(assigned.chunks(slot_chunk))
+                .zip(&counts)
+        };
+        rayon::join(
+            || match online {
+                None => {
+                    for ((_, assigned), counts) in pieces() {
+                        for &packed in &assigned[..counts.assigned as usize] {
+                            ball_assigned[(packed >> 32) as usize] = packed as u32;
                         }
                     }
-                    Some(online) => {
-                        // Settled balls record their latency and schedule their
-                        // departure with the service time drawn above. Calendar
-                        // entries are re-aggregated per server when applied, so piece
-                        // order cannot leak into anything observable. A departure
-                        // falling beyond the round cap is not scheduled: it could
-                        // never be applied within the run, and skipping it keeps the
-                        // calendar bounded by `max_rounds`.
-                        for p in descs_done.iter().flatten() {
-                            let settled = p.counts.assigned as usize;
-                            for (&packed, &service) in p.assigned_out[..settled]
-                                .iter()
-                                .zip(&p.alive_out[..settled])
-                            {
-                                let ball = (packed >> 32) as usize;
-                                ball_assigned[ball] = packed as u32;
-                                online.settle_round[ball] = round;
-                                if let Some(due) = round.checked_add(service) {
-                                    if due <= max_rounds {
-                                        let due = due as usize;
-                                        if online.depart_calendar.len() <= due {
-                                            let spare = &mut online.spare_slots;
-                                            online.depart_calendar.resize_with(due + 1, || {
-                                                spare.pop().unwrap_or_default()
-                                            });
-                                        }
-                                        online.depart_calendar[due].push(packed as u32);
+                }
+                Some(online) => {
+                    // Settled balls record their latency and schedule their departure
+                    // with the service time drawn above. Calendar entries are
+                    // re-aggregated per server when applied, so piece order cannot
+                    // leak into anything observable. A departure falling beyond the
+                    // round cap is not scheduled: it could never be applied within
+                    // the run, and skipping it keeps the calendar bounded by
+                    // `max_rounds`.
+                    for ((scratch, assigned), counts) in pieces() {
+                        let settled = counts.assigned as usize;
+                        for (&packed, &service) in assigned[..settled].iter().zip(scratch) {
+                            let ball = (packed >> 32) as usize;
+                            ball_assigned[ball] = packed as u32;
+                            online.settle_round[ball] = round;
+                            if let Some(due) = round.checked_add(service) {
+                                if due <= max_rounds {
+                                    let due = due as usize;
+                                    if online.depart_calendar.len() <= due {
+                                        let spare = &mut online.spare_slots;
+                                        online.depart_calendar.resize_with(due + 1, || {
+                                            spare.pop().unwrap_or_default()
+                                        });
                                     }
+                                    online.depart_calendar[due].push(packed as u32);
                                 }
                             }
                         }
                     }
-                },
-                || {
-                    // Count surplus releases per server (piece-index order in), drain
-                    // them into ascending totals and hand those to the protocol: one
-                    // `server_on_release` per server. A one-choice round has none.
-                    server_totals.clear();
-                    if per_ball > 1 {
-                        for p in descs_done.iter().flatten() {
-                            for &server in &p.release_out[..p.counts.released as usize] {
-                                server_tally[server as usize] += 1;
-                            }
+                }
+            },
+            || {
+                // Count surplus releases per server (piece-index order in), drain them
+                // into ascending totals and hand those to the protocol: one
+                // `server_on_release` per server. A one-choice round has none.
+                server_totals.clear();
+                if per_ball > 1 {
+                    for ((scratch, _), counts) in pieces() {
+                        let releases = &scratch[scratch.len() / per_ball..];
+                        for &server in &releases[..counts.released as usize] {
+                            server_tally[server as usize] += 1;
                         }
-                        drain_server_tally(server_tally, server_load, server_totals);
                     }
-                    protocol.erased_release(&mut **server_states, server_totals);
-                },
-            );
-        }
+                    drain_server_tally(server_tally, server_load, server_totals);
+                }
+                protocol.erased_release(&mut **server_states, server_totals);
+            },
+        );
         std::mem::swap(&mut self.alive_balls, alive_next);
         self.in_service += balls_assigned;
 
         // Census — closed flags, closed count and max load folded in one pass over
-        // carved server ranges (see `census_pieces`). The fold is cached so
+        // server chunks (see `census_pieces`). The fold is cached so
         // `result()` never re-scans the servers.
         let (closed_servers, max_load) = self.protocol.erased_census(
             &*self.server_states,
@@ -1770,7 +1614,7 @@ mod tests {
     }
 
     /// Builds the within-segment ranks with a given sort-piece count via the same
-    /// three passes `step_internal` drives, serially.
+    /// three passes `step_internal` drives, serially, over the same chunks.
     fn rank_with_pieces(
         request_server: &[u32],
         num_servers: usize,
@@ -1779,24 +1623,28 @@ mod tests {
         let len = request_server.len();
         let mut rank = vec![0u32; len];
         let mut totals = vec![0u32; num_servers];
-        if pieces == 1 {
+        let chunk = chunk_len(len, pieces);
+        let rows = len.div_ceil(chunk);
+        if rows <= 1 {
             sort_pass_histogram(request_server, &mut rank, &mut totals);
             return (rank, totals);
         }
-        let mut hist = vec![0u32; pieces * num_servers];
-        for k in 0..pieces {
-            let r = piece_range(len, pieces, k);
-            sort_pass_histogram(
-                &request_server[r.clone()],
-                &mut rank[r],
-                &mut hist[k * num_servers..(k + 1) * num_servers],
-            );
+        let mut hist = vec![0u32; rows * num_servers];
+        for ((requests, ranks), row) in request_server
+            .chunks(chunk)
+            .zip(rank.chunks_mut(chunk))
+            .zip(hist.chunks_mut(num_servers))
+        {
+            sort_pass_histogram(requests, ranks, row);
         }
-        let mut off = vec![0u32; pieces * num_servers];
+        let mut off = vec![0u32; rows * num_servers];
         sort_pass_combine(&hist, num_servers, 0, &mut off, &mut totals);
-        for k in 0..pieces {
-            let r = piece_range(len, pieces, k);
-            sort_pass_rebase(&request_server[r.clone()], &mut rank[r], &off, k, pieces);
+        for (k, (requests, ranks)) in request_server
+            .chunks(chunk)
+            .zip(rank.chunks_mut(chunk))
+            .enumerate()
+        {
+            sort_pass_rebase(requests, ranks, &off, k, rows);
         }
         (rank, totals)
     }
@@ -2170,16 +2018,14 @@ mod tests {
         let run_rule = |rule: SettleRule| {
             let mut alive_out = [0u32; 1];
             let mut assigned_out = [0u64; 1];
-            let mut release_out = [0u32; 2];
+            let mut release_out = [0u32; 1];
             let mut piece = SettlePiece {
-                slot_lo: 0,
                 slots: &slots,
                 alive_out: &mut alive_out,
                 assigned_out: &mut assigned_out,
                 release_out: &mut release_out,
-                counts: SettleCounts::default(),
             };
-            piece.run(
+            let counts = piece.run(
                 2,
                 rule,
                 &request_server,
@@ -2187,8 +2033,8 @@ mod tests {
                 &accept_count,
                 &loads,
             );
-            assert_eq!(piece.counts.assigned, 1);
-            assert_eq!(piece.counts.released, 1);
+            assert_eq!(counts.assigned, 1);
+            assert_eq!(counts.released, 1);
             (assigned_out[0] as u32, release_out[0])
         };
         // First-accepted keeps the slot-order winner (server 0), releasing server 1.
@@ -2206,14 +2052,12 @@ mod tests {
         let loads = [0u32, 4, 0, 4];
         let mut alive_out = [0u32; 1];
         let mut assigned_out = [0u64; 1];
-        let mut release_out = [0u32; 2];
+        let mut release_out = [0u32; 1];
         let mut piece = SettlePiece {
-            slot_lo: 0,
             slots: &slots,
             alive_out: &mut alive_out,
             assigned_out: &mut assigned_out,
             release_out: &mut release_out,
-            counts: SettleCounts::default(),
         };
         piece.run(
             2,

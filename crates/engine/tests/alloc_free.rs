@@ -19,8 +19,8 @@
 //!    piece plan shrinks from four pieces to one between rounds, and an online run
 //!    with Poisson arrivals (at most 20 allocations over 100 steady rounds),
 //! 2. the same single-thread scope with the intra-round piece plan forced to 8, so
-//!    the parallel sort / decide / settle / census code paths (carved descriptors,
-//!    piece merges, release aggregation) run through the counted window,
+//!    the parallel sort / decide / settle / census code paths (piece merges,
+//!    release aggregation) run through the counted window,
 //! 3. a fault-wrapped protocol in the same scope, at 1 and 8 pieces, so the decide
 //!    loop runs through the adapter's per-server hook, and
 //! 4. `step()` running *on pool workers* — how `Scenario::run` executes trials.
@@ -277,9 +277,9 @@ fn round_loop_is_allocation_free_after_build() {
 #[test]
 fn round_loop_is_allocation_free_with_forced_intra_pieces() {
     // Forcing the piece plan to 8 on instances this small routes every phase through
-    // the carved-descriptor parallel path (three-pass sort, per-piece settle scratch,
-    // release aggregation) — the descriptors live on the stack and all scratch is in
-    // RoundBuffers, so the counted window must stay at exactly zero.
+    // the multi-chunk parallel path (three-pass sort, per-piece settle scratch,
+    // release aggregation) — the settle counts live on the stack and all scratch is
+    // in RoundBuffers, so the counted window must stay at exactly zero.
     let sequential = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()

@@ -25,15 +25,16 @@ pub mod producer;
 pub use pool::{PoolStats, SMALL_DRIVE_CUTOFF};
 
 use producer::{
-    ChunksMutProducer, EnumerateProducer, FilterProducer, IndexedProducer, MapProducer, Producer,
-    RangeProducer, SliceMutProducer, SliceProducer, VecProducer, ZipProducer,
+    ChunksMutProducer, ChunksProducer, EnumerateProducer, FilterProducer, IndexedProducer,
+    MapProducer, Producer, RangeProducer, SliceMutProducer, SliceProducer, VecProducer,
+    ZipProducer,
 };
 use std::sync::Arc;
 
 pub mod prelude {
     pub use crate::{
         IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-        ParallelIterator, ParallelSliceMut,
+        ParallelIterator, ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -304,6 +305,23 @@ impl<'a, T: 'a + Send> IntoParallelRefMutIterator<'a> for Vec<T> {
     }
 }
 
+/// Mirror of `rayon::slice::ParallelSlice` (`.par_chunks()`).
+pub trait ParallelSlice<T: Sync> {
+    fn par_chunks(&self, chunk_size: usize) -> ParIter<ChunksProducer<'_, T>>;
+}
+
+impl<T: Sync> ParallelSlice<T> for [T] {
+    fn par_chunks(&self, chunk_size: usize) -> ParIter<ChunksProducer<'_, T>> {
+        assert!(chunk_size > 0, "chunk size must be non-zero");
+        ParIter {
+            producer: ChunksProducer {
+                slice: self,
+                chunk_size,
+            },
+        }
+    }
+}
+
 /// Mirror of `rayon::slice::ParallelSliceMut` (`.par_sort_unstable()`,
 /// `.par_chunks_mut()`).
 pub trait ParallelSliceMut<T> {
@@ -487,15 +505,27 @@ mod tests {
 
     #[test]
     fn zipped_chunks_stay_aligned_under_splitting() {
-        // chunk i must pair with seed i exactly, no matter where pieces split —
-        // including the ragged final chunk.
+        // chunk i must pair with seed i and with source chunk i exactly, no matter
+        // where pieces split — including the ragged final chunks.
         let seeds: Vec<u32> = (0..1001).collect();
-        let mut buf = vec![0u32; 1001 * 3 - 2]; // last chunk has 1 element
-        buf.par_chunks_mut(3)
-            .zip(seeds.par_iter())
-            .for_each(|(chunk, &seed)| chunk.fill(seed));
-        for (i, chunk) in buf.chunks(3).enumerate() {
-            assert!(chunk.iter().all(|&x| x == i as u32), "chunk {i}");
+        let source: Vec<u32> = (0..1001 * 2 - 1).map(|x| x / 2).collect(); // last chunk has 1 element
+        for threads in [1, 4] {
+            let mut buf = vec![0u32; 1001 * 3 - 2]; // last chunk has 1 element
+            with_threads(threads, || {
+                buf.par_chunks_mut(3)
+                    .zip(seeds.par_iter())
+                    .zip(source.par_chunks(2))
+                    .for_each(|((chunk, &seed), pair)| {
+                        assert!(pair.iter().all(|&x| x == seed), "source chunk {seed}");
+                        chunk.fill(seed);
+                    });
+            });
+            for (i, chunk) in buf.chunks(3).enumerate() {
+                assert!(
+                    chunk.iter().all(|&x| x == i as u32),
+                    "threads = {threads}: chunk {i}"
+                );
+            }
         }
     }
 

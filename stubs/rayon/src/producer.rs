@@ -49,6 +49,7 @@ pub trait IndexedProducer: Producer {}
 
 impl<T: Sync> IndexedProducer for SliceProducer<'_, T> {}
 impl<T: Send> IndexedProducer for SliceMutProducer<'_, T> {}
+impl<T: Sync> IndexedProducer for ChunksProducer<'_, T> {}
 impl<T: Send> IndexedProducer for ChunksMutProducer<'_, T> {}
 impl<T: Send> IndexedProducer for VecProducer<T> {}
 impl IndexedProducer for RangeProducer<u64> {}
@@ -128,6 +129,40 @@ impl<'a, T: Send> Producer for SliceMutProducer<'a, T> {
 
     fn into_seq(self) -> Self::SeqIter {
         self.slice.iter_mut()
+    }
+}
+
+/// `&[T]` in fixed-size chunks (`par_chunks`), split like [`ChunksMutProducer`].
+pub struct ChunksProducer<'a, T> {
+    pub(crate) slice: &'a [T],
+    pub(crate) chunk_size: usize,
+}
+
+impl<'a, T: Sync> Producer for ChunksProducer<'a, T> {
+    type Item = &'a [T];
+    type SeqIter = std::slice::Chunks<'a, T>;
+
+    fn len(&self) -> usize {
+        self.slice.len().div_ceil(self.chunk_size)
+    }
+
+    fn split_at(self, index: usize) -> (Self, Self) {
+        let mid = (index * self.chunk_size).min(self.slice.len());
+        let (head, tail) = self.slice.split_at(mid);
+        (
+            Self {
+                slice: head,
+                chunk_size: self.chunk_size,
+            },
+            Self {
+                slice: tail,
+                chunk_size: self.chunk_size,
+            },
+        )
+    }
+
+    fn into_seq(self) -> Self::SeqIter {
+        self.slice.chunks(self.chunk_size)
     }
 }
 
