@@ -9,8 +9,11 @@
 //! counting sort, the server decisions, the ball settling and the census inside
 //! every round, and the per-point `deterministic` flag is the hard gate: the
 //! per-round `RoundRecord`s, the final `RunResult` and the server loads must be
-//! bit-identical at every thread count. Timings are context; on a contended
-//! container (`"contended": true`) only the determinism verdicts are meaningful.
+//! bit-identical at every thread count. Each point also builds its striped graph
+//! inside its own pool, where `BipartiteGraph::from_edges` splits the edge list into
+//! chunks, and the flag requires that graph to equal the 1-thread point's. Only the
+//! round loop is timed. Timings are context; on a contended container
+//! (`"contended": true`) only the determinism verdicts are meaningful.
 //!
 //! Quick mode (`--quick` or `CLB_QUICK=1`) caps n at 10^6; the full run adds 10^7.
 //!
@@ -57,12 +60,14 @@ struct PointRun {
     records: Vec<RoundRecord>,
     result: RunResult,
     loads: Vec<u32>,
+    graph: BipartiteGraph,
 }
 
-/// Steps one simulation to completion (or the round cap) inside a dedicated
-/// `threads`-wide pool, timing only the round loop. The untimed warm-up instance
-/// spawns the pool's workers and faults in the allocator paths first.
-fn run_point(graph: &BipartiteGraph, warm: &BipartiteGraph, threads: usize) -> PointRun {
+/// Builds the `n`-client striped graph and steps one simulation on it to completion
+/// (or the round cap) inside a dedicated `threads`-wide pool, timing only the round
+/// loop. The untimed warm-up instance spawns the pool's workers and faults in the
+/// allocator paths first.
+fn run_point(n: usize, warm: &BipartiteGraph, threads: usize) -> PointRun {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -71,7 +76,8 @@ fn run_point(graph: &BipartiteGraph, warm: &BipartiteGraph, threads: usize) -> P
         let mut warm_sim = build_sim(warm);
         let _ = warm_sim.run();
 
-        let mut sim = build_sim(graph);
+        let graph = striped_graph(n);
+        let mut sim = build_sim(&graph);
         let mut records: Vec<RoundRecord> = Vec::with_capacity(MAX_ROUNDS);
         let start = Instant::now();
         while !sim.is_complete() && sim.round() < MAX_ROUNDS as u32 {
@@ -85,6 +91,7 @@ fn run_point(graph: &BipartiteGraph, warm: &BipartiteGraph, threads: usize) -> P
             records,
             result: sim.result(),
             loads: sim.server_loads().to_vec(),
+            graph,
         }
     })
 }
@@ -126,11 +133,10 @@ fn main() {
     let mut points = String::new();
     let mut all_deterministic = true;
     for &n in sizes {
-        let graph = striped_graph(n);
-        let servers = graph.num_servers();
         let mut runs: Vec<(usize, PointRun)> = Vec::new();
         for &threads in &THREAD_COUNTS {
-            let run = run_point(&graph, &warm, threads);
+            let run = run_point(n, &warm, threads);
+            let servers = run.graph.num_servers();
             let ms_per_round = run.total_ms / run.rounds.max(1) as f64;
             let rounds_per_sec = run.rounds as f64 / (run.total_ms / 1e3);
             println!(
@@ -141,11 +147,15 @@ fn main() {
         }
         let base = &runs[0].1;
         let deterministic = runs.iter().all(|(_, r)| {
-            r.records == base.records && r.result == base.result && r.loads == base.loads
+            r.graph == base.graph
+                && r.records == base.records
+                && r.result == base.result
+                && r.loads == base.loads
         });
         all_deterministic &= deterministic;
         println!("| {n} |  |  |  |  |  | bit-identical: {deterministic} |");
         for (threads, run) in &runs {
+            let servers = run.graph.num_servers();
             let ms_per_round = run.total_ms / run.rounds.max(1) as f64;
             let rounds_per_sec = run.rounds as f64 / (run.total_ms / 1e3);
             points.push_str(&format!(

@@ -7,7 +7,8 @@
 //!
 //! * [`BipartiteGraph`] — an immutable, cache-friendly CSR representation of the
 //!   client → servers adjacency (the only direction a protocol reads), plus server
-//!   degrees;
+//!   degrees. [`BipartiteGraph::from_edges`] builds it from an edge list, on the
+//!   rayon pool when the list is grouped by client, as the generators write theirs;
 //! * [`builder::GraphBuilder`] — incremental construction from edge lists with
 //!   validation and de-duplication;
 //! * [`generators`] — every topology family used by the experiments in DESIGN.md §5:

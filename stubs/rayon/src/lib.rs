@@ -322,28 +322,14 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
-/// Mirror of `rayon::slice::ParallelSliceMut` (`.par_sort_unstable()`,
-/// `.par_chunks_mut()`).
+/// Mirror of `rayon::slice::ParallelSliceMut` (`.par_chunks_mut()`).
 pub trait ParallelSliceMut<T> {
-    /// Sorts sequentially — no measured path in this workspace sorts through rayon,
-    /// so the parallel merge machinery is not worth stubbing.
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
-
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>>
     where
         T: Send;
 }
 
 impl<T> ParallelSliceMut<T> for [T] {
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        self.sort_unstable();
-    }
-
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParIter<ChunksMutProducer<'_, T>>
     where
         T: Send,
@@ -456,10 +442,6 @@ mod tests {
 
         let max = v.par_iter().map(|&x| x as f64).reduce(|| 0.0, f64::max);
         assert!((max - 3.0).abs() < 1e-12);
-
-        let mut keys = vec![5u64, 1, 4];
-        keys.par_sort_unstable();
-        assert_eq!(keys, vec![1, 4, 5]);
 
         let mut buf = vec![0u32; 6];
         buf.par_chunks_mut(2)
