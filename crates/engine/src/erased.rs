@@ -58,8 +58,10 @@ pub struct DecidePhase<'a> {
     pub loads: &'a mut [u32],
     /// Requests each server accepts, written only for servers with incoming requests.
     pub accept: &'a mut [u32],
-    /// Contiguous server ranges the loop splits into (the round's piece plan).
-    pub pieces: usize,
+    /// The builder's forced piece count, which fixes the contiguous server ranges the
+    /// loop splits into; `None` sizes them from the server count and from whether a
+    /// hook is attached.
+    pub pieces: Option<usize>,
     /// The per-server wrapper an adapter installed around the rule, if any.
     pub hook: Option<&'a dyn DecideHook>,
 }
@@ -252,7 +254,7 @@ mod tests {
                 incoming,
                 loads: &mut loads,
                 accept: &mut accept,
-                pieces: 2,
+                pieces: Some(2),
                 hook,
             },
         );

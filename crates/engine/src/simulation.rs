@@ -38,7 +38,7 @@ use crate::{
     workload::OnlineWorkload,
 };
 use clb_graph::{BipartiteGraph, ClientId};
-use clb_rng::domains::PROTOCOL_DOMAIN;
+use clb_rng::domains::{ARRIVAL_DOMAIN, PROTOCOL_DOMAIN};
 use clb_rng::{RandomSource, StreamFactory};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -59,6 +59,12 @@ const MIN_SORT_PIECE: usize = 1 << 14;
 
 /// Minimum servers per phase-2/census piece.
 const MIN_SERVER_PIECE: usize = 1 << 12;
+
+/// Minimum servers per phase-2 piece when a [`DecideHook`] wraps the rule: a hooked
+/// decision derives its own random streams, so it costs enough to split finer.
+///
+/// [`DecideHook`]: crate::DecideHook
+const MIN_HOOKED_SERVER_PIECE: usize = 1 << 9;
 
 /// Minimum ball slots per phase-3 piece.
 const MIN_SLOT_PIECE: usize = 1 << 14;
@@ -81,7 +87,9 @@ fn chunk_len(len: usize, pieces: usize) -> usize {
 struct PiecePlan {
     /// Pieces for the three-pass request sort (contiguous request ranges).
     sort: usize,
-    /// Pieces for phase 2 decisions, the sort combine and the census (server ranges).
+    /// Pieces for the sort combine and the census (server ranges). Phase 2 sizes its
+    /// own server ranges, since only it can see whether a hook is attached (see
+    /// [`decide_pieces`]).
     server: usize,
     /// Pieces for phase 3 settling (contiguous ball-slot ranges).
     slot: usize,
@@ -478,13 +486,27 @@ impl SettlePiece<'_> {
 /// [`ErasedProtocol::erased_decide`]: `rule` decides for every server with incoming
 /// requests, in ascending order within a chunk. Each decision touches only its own
 /// server's state, load and accept count, so the chunks are disjoint.
+///
+/// The chunks are the forced piece count if the builder set one, else one per
+/// [`MIN_SERVER_PIECE`] servers, or per [`MIN_HOOKED_SERVER_PIECE`] when a hook is
+/// attached: a function of the server count and the hook alone, never of the thread
+/// count. A hook keys its draws by `(server, round)`, so no chunking changes a result.
 pub(crate) fn decide_pieces<S: Send>(
     states: &mut [S],
     phase: DecidePhase<'_>,
     rule: impl Fn(&mut S, &ServerCtx) -> u32 + Sync,
 ) {
     let round = phase.round;
-    let chunk = chunk_len(phase.incoming.len(), phase.pieces);
+    let min_piece = if phase.hook.is_some() {
+        MIN_HOOKED_SERVER_PIECE
+    } else {
+        MIN_SERVER_PIECE
+    };
+    let pieces = phase
+        .pieces
+        .unwrap_or(phase.incoming.len() / min_piece)
+        .clamp(1, MAX_INTRA_PIECES);
+    let chunk = chunk_len(phase.incoming.len(), pieces);
     states
         .par_chunks_mut(chunk)
         .zip(phase.loads.par_chunks_mut(chunk))
@@ -739,15 +761,15 @@ impl<'g> SimulationBuilder<'g> {
                 online.total_arrivals == 0 || !eligible.is_empty(),
                 "online workload has arrivals but no client has an admissible server"
             );
-            // One `ARRIVAL_DOMAIN` stream per arriving ball, keyed by its id, so the
+            // One `ARRIVAL_DOMAIN` stream per arriving ball, keyed `(ball, 1)`, so the
             // owners are the same whichever worker draws them.
-            let (workload, seed) = (&online.workload, config.seed);
+            let owners = StreamFactory::new(config.seed).domain(ARRIVAL_DOMAIN);
             ball_owner[initial_balls..]
                 .par_iter_mut()
                 .enumerate()
                 .for_each(|(i, owner)| {
-                    let ball = (initial_balls + i) as u64;
-                    *owner = eligible[workload.owner_index(seed, ball, eligible.len())];
+                    let mut rng = owners.stream((initial_balls + i) as u64, 1);
+                    *owner = eligible[rng.gen_index(eligible.len())];
                 });
         }
 
@@ -1191,7 +1213,7 @@ impl<'g> Simulation<'g> {
                 incoming: requests_per_server,
                 loads: &mut self.server_load,
                 accept: accept_count,
-                pieces: plan.server,
+                pieces: *forced_pieces,
                 hook: None,
             },
         );
@@ -1248,9 +1270,8 @@ impl<'g> Simulation<'g> {
         // scratch, dead now that the survivors are merged (a piece's slots hold its
         // survivors plus its settled balls, so the prefix is long enough and stops
         // short of the piece's releases).
-        let seed = self.config.seed;
         if let Some(online) = self.online.as_ref() {
-            let workload = &online.workload;
+            let sampler = online.workload.service_sampler(self.config.seed);
             scratch
                 .par_chunks_mut(request_chunk)
                 .zip(assigned.par_chunks(slot_chunk))
@@ -1261,7 +1282,7 @@ impl<'g> Simulation<'g> {
                         .par_iter_mut()
                         .zip(assigned[..settled].par_iter())
                         .for_each(|(service, &packed)| {
-                            *service = workload.service_rounds(seed, packed >> 32);
+                            *service = sampler.rounds(packed >> 32);
                         });
                 });
         }

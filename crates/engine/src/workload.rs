@@ -29,7 +29,7 @@
 //! [`PROTOCOL_DOMAIN`]: clb_rng::domains::PROTOCOL_DOMAIN
 
 use clb_rng::domains::{ARRIVAL_DOMAIN, SERVICE_DOMAIN};
-use clb_rng::{Geometric, Poisson, RandomSource, StreamFactory};
+use clb_rng::{Geometric, Poisson, RandomSource, StreamFactory, Xoshiro256PlusPlus};
 use serde::{Deserialize, Serialize};
 
 /// When and how many new balls enter the system.
@@ -204,19 +204,19 @@ impl OnlineWorkload {
     /// it is independent of every other round and of everything the protocol draws.
     pub fn arrivals_per_round(&self, seed: u64) -> Vec<u32> {
         let factory = StreamFactory::new(seed).domain(ARRIVAL_DOMAIN);
+        // Round `i + 1`'s count. It reads about `rate` words, so its stream converts to
+        // the eager generator.
+        let count = |dist: &Poisson, i: usize| {
+            let mut rng = Xoshiro256PlusPlus::from(factory.stream((i + 1) as u64, 0));
+            dist.sample(&mut rng).min(u64::from(u32::MAX)) as u32
+        };
         let horizon = self.horizon() as usize;
         match &self.arrivals {
             ArrivalProcess::Batch { per_round, .. } => vec![*per_round; horizon],
             ArrivalProcess::Trace { arrivals } => arrivals.clone(),
             ArrivalProcess::Poisson { rate, .. } => {
                 let dist = Poisson::new(*rate);
-                (0..horizon)
-                    .map(|i| {
-                        let round = (i + 1) as u64;
-                        let mut rng = factory.stream(round, 0);
-                        dist.sample(&mut rng).min(u64::from(u32::MAX)) as u32
-                    })
-                    .collect()
+                (0..horizon).map(|i| count(&dist, i)).collect()
             }
             ArrivalProcess::Bursty {
                 on_rate,
@@ -231,44 +231,66 @@ impl OnlineWorkload {
                         if i % period >= *on_rounds as usize {
                             return 0;
                         }
-                        let round = (i + 1) as u64;
-                        let mut rng = factory.stream(round, 0);
-                        dist.sample(&mut rng).min(u64::from(u32::MAX)) as u32
+                        count(&dist, i)
                     })
                     .collect()
             }
         }
     }
 
-    /// Samples the owner client of arriving ball `ball` among `eligible.len()`
-    /// clients with at least one admissible server. Pure function of `(seed, ball)`.
-    pub fn owner_index(&self, seed: u64, ball: u64, eligible: usize) -> usize {
-        let mut rng = StreamFactory::new(seed)
-            .domain(ARRIVAL_DOMAIN)
-            .stream(ball, 1);
-        rng.gen_index(eligible)
-    }
-
     /// Samples ball `ball`'s service time in rounds (always at least 1). Pure
     /// function of `(seed, ball)` — in particular independent of *when* or *where*
     /// the ball settles, so thread count and piece plan cannot perturb it.
     pub fn service_rounds(&self, seed: u64, ball: u64) -> u32 {
-        match &self.service {
-            ServiceDistribution::Deterministic { rounds } => *rounds,
-            ServiceDistribution::Geometric { p } => {
-                let mut rng = StreamFactory::new(seed)
-                    .domain(SERVICE_DOMAIN)
-                    .stream(ball, 0);
-                let extra = Geometric::new(*p)
-                    .sample(&mut rng)
-                    .min(u64::from(u32::MAX - 1));
-                1 + extra as u32
+        self.service_sampler(seed).rounds(ball)
+    }
+
+    /// The service-time draws of one run, built once for all of its balls.
+    pub(crate) fn service_sampler(&self, seed: u64) -> ServiceSampler {
+        let draw = match self.service {
+            ServiceDistribution::Deterministic { rounds } => ServiceDraw::Fixed(rounds),
+            ServiceDistribution::Geometric { p } => ServiceDraw::Geometric(Geometric::new(p)),
+            ServiceDistribution::Uniform { min, max } => ServiceDraw::Uniform {
+                min: min.into(),
+                max: max.into(),
+            },
+        };
+        ServiceSampler {
+            streams: StreamFactory::new(seed).domain(SERVICE_DOMAIN),
+            draw,
+        }
+    }
+}
+
+/// A run's service-time sampler: the [`SERVICE_DOMAIN`] factory and the distribution,
+/// so each ball's draw pays only for its own stream.
+pub(crate) struct ServiceSampler {
+    streams: StreamFactory,
+    draw: ServiceDraw,
+}
+
+/// A [`ServiceDistribution`] ready to sample.
+enum ServiceDraw {
+    Fixed(u32),
+    /// `1 + Geometric(p)` rounds.
+    Geometric(Geometric),
+    Uniform {
+        min: u64,
+        max: u64,
+    },
+}
+
+impl ServiceSampler {
+    /// Ball `ball`'s service time in rounds, from its stream keyed `(ball, 0)`.
+    pub(crate) fn rounds(&self, ball: u64) -> u32 {
+        match &self.draw {
+            ServiceDraw::Fixed(rounds) => *rounds,
+            ServiceDraw::Geometric(dist) => {
+                let extra = dist.sample(&mut self.streams.stream(ball, 0));
+                1 + extra.min(u64::from(u32::MAX - 1)) as u32
             }
-            ServiceDistribution::Uniform { min, max } => {
-                let mut rng = StreamFactory::new(seed)
-                    .domain(SERVICE_DOMAIN)
-                    .stream(ball, 0);
-                rng.gen_range_u64(u64::from(*min), u64::from(*max)) as u32
+            ServiceDraw::Uniform { min, max } => {
+                self.streams.stream(ball, 0).gen_range_u64(*min, *max) as u32
             }
         }
     }

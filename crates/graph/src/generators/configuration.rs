@@ -26,7 +26,7 @@ use crate::bipartite::{prefix_sum, BipartiteGraph};
 use crate::ids::check_id_space;
 use crate::{GraphError, Result, ServerId};
 use clb_rng::domains::GENERATOR_DOMAIN;
-use clb_rng::{shuffle, RandomSource, StreamFactory};
+use clb_rng::{shuffle, RandomSource, StreamFactory, Xoshiro256PlusPlus};
 
 /// Generates a uniform-ish random *simple* bipartite graph with the given degree
 /// sequences.
@@ -77,9 +77,12 @@ pub fn configuration_model(
     }
 
     let total = total_c;
-    let mut rng = StreamFactory::new(seed)
-        .domain(GENERATOR_DOMAIN)
-        .stream(0, 0);
+    // The one stream feeds the whole shuffle and repair, so it runs eagerly.
+    let mut rng = Xoshiro256PlusPlus::from(
+        StreamFactory::new(seed)
+            .domain(GENERATOR_DOMAIN)
+            .stream(0, 0),
+    );
 
     // Expand stubs. Position p of the matching connects the client whose block holds p
     // to server_of[p].

@@ -8,7 +8,7 @@
 
 use crate::{bipartite::BipartiteGraph, GraphBuilder, GraphError, Result};
 use clb_rng::domains::GEO_DOMAIN;
-use clb_rng::{RandomSource, StreamFactory};
+use clb_rng::{RandomSource, StreamFactory, Xoshiro256PlusPlus};
 
 /// Returns the radius for which the *expected* client degree on the unit torus is
 /// `expected_degree` when `n` servers are placed uniformly at random:
@@ -50,8 +50,9 @@ pub fn geometric_proximity_rect(
     }
     let radius = radius.min(0.5); // beyond 0.5 the torus ball covers everything anyway
 
-    let factory = StreamFactory::new(seed).domain(GEO_DOMAIN);
-    let mut rng = factory.stream(0, 0);
+    // One stream places every node, so it runs eagerly.
+    let mut rng =
+        Xoshiro256PlusPlus::from(StreamFactory::new(seed).domain(GEO_DOMAIN).stream(0, 0));
     let clients: Vec<(f64, f64)> = (0..num_clients)
         .map(|_| (rng.next_f64(), rng.next_f64()))
         .collect();

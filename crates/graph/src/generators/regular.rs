@@ -3,7 +3,7 @@
 use super::configuration::configuration_model;
 use crate::{bipartite::BipartiteGraph, log2_squared, GraphError, Result};
 use clb_rng::domains::DEGREE_DOMAIN;
-use clb_rng::{RandomSource, StreamFactory};
+use clb_rng::{RandomSource, StreamFactory, Xoshiro256PlusPlus};
 
 /// Generates a Δ-regular random bipartite graph with `n` clients and `n` servers.
 ///
@@ -43,7 +43,9 @@ pub fn almost_regular(
             "client degree range [{client_min_degree}, {client_max_degree}] must satisfy 1 <= min <= max <= n = {n}"
         )));
     }
-    let mut rng = StreamFactory::new(seed).domain(DEGREE_DOMAIN).stream(0, 0);
+    // One stream draws every degree, so it runs eagerly.
+    let mut rng =
+        Xoshiro256PlusPlus::from(StreamFactory::new(seed).domain(DEGREE_DOMAIN).stream(0, 0));
     let span = client_max_degree - client_min_degree + 1;
     let client_degrees: Vec<usize> = (0..n)
         .map(|_| client_min_degree + rng.gen_index(span))

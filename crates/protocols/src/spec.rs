@@ -190,7 +190,7 @@ mod tests {
                 incoming: &[incoming],
                 loads: &mut loads,
                 accept: &mut accept,
-                pieces: 1,
+                pieces: Some(1),
                 hook: None,
             },
         );

@@ -18,7 +18,9 @@
 //! The crate deliberately implements its own small generators (SplitMix64 and
 //! Xoshiro256++) instead of relying on `rand`'s: the generators are part of the
 //! reproducibility contract of the simulator and must never change behaviour when a
-//! dependency is upgraded. `rand` is only used in tests as an independent cross-check.
+//! dependency is upgraded. No crate in the workspace depends on `rand`; the generators'
+//! tests check them against the reference vectors of the public-domain C
+//! implementations instead.
 //!
 //! # Quick example
 //!

@@ -5,6 +5,11 @@
 //! round)`. [`mix3`] and [`mix4`] hash such tuples into a single 64-bit key with good
 //! avalanche behaviour so that "adjacent" tuples (same client, consecutive rounds) yield
 //! unrelated streams.
+//!
+//! A [`StreamFactory`](crate::StreamFactory) fixes the first two words of every key it
+//! derives, so it computes [`mix4`]'s first two scrambles once (`mix4_prefix`) and each
+//! stream's key from that prefix (`mix4_with_prefix`); [`mix4`] itself is the reference
+//! the split is tested against.
 
 use crate::splitmix::SplitMix64;
 
@@ -12,6 +17,9 @@ use crate::splitmix::SplitMix64;
 const C1: u64 = 0x9E3779B97F4A7C15;
 const C2: u64 = 0xC2B2AE3D27D4EB4F;
 const C3: u64 = 0x165667B19E3779F9;
+
+/// Offset xored into the first word, so an all-zero tuple does not start from 0.
+const SALT: u64 = 0x517C_C1B7_2722_0A95;
 
 /// Mixes three 64-bit words into one well-scrambled 64-bit key.
 ///
@@ -21,7 +29,7 @@ const C3: u64 = 0x165667B19E3779F9;
 /// unlikely and, more importantly, nearby tuples produce statistically unrelated keys.
 #[inline]
 pub fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    let mut h = SplitMix64::scramble(a.wrapping_mul(C1) ^ 0x51_7C_C1_B7_27_22_0A_95);
+    let mut h = SplitMix64::scramble(a.wrapping_mul(C1) ^ SALT);
     h = SplitMix64::scramble(h ^ b.wrapping_mul(C2));
     h = SplitMix64::scramble(h ^ c.wrapping_mul(C3));
     h
@@ -31,6 +39,20 @@ pub fn mix3(a: u64, b: u64, c: u64) -> u64 {
 #[inline]
 pub fn mix4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     SplitMix64::scramble(mix3(a, b, c) ^ d.wrapping_mul(C1))
+}
+
+/// The first two of [`mix4`]'s four scrambles, which read only `a` and `b`.
+#[inline]
+pub(crate) fn mix4_prefix(a: u64, b: u64) -> u64 {
+    let h = SplitMix64::scramble(a.wrapping_mul(C1) ^ SALT);
+    SplitMix64::scramble(h ^ b.wrapping_mul(C2))
+}
+
+/// `mix4(a, b, c, d)` given `prefix = mix4_prefix(a, b)`: the last two scrambles.
+#[inline]
+pub(crate) fn mix4_with_prefix(prefix: u64, c: u64, d: u64) -> u64 {
+    let h = SplitMix64::scramble(prefix ^ c.wrapping_mul(C3));
+    SplitMix64::scramble(h ^ d.wrapping_mul(C1))
 }
 
 #[cfg(test)]

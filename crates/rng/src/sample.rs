@@ -130,6 +130,8 @@ impl Bernoulli {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Geometric {
     p: f64,
+    /// `(1 - p).ln()`, the denominator of every sample.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -147,7 +149,10 @@ impl Geometric {
             p > 0.0 && p <= 1.0,
             "geometric success probability must be in (0,1]"
         );
-        Self { p }
+        Self {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
     }
 
     /// Draws one sample via inversion: `floor(ln U / ln(1-p))`.
@@ -161,15 +166,15 @@ impl Geometric {
                 break u;
             }
         };
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64
+        (u.ln() / self.ln_q).floor() as u64
     }
 }
 
 /// A binomial distribution `Bin(n, p)`.
 ///
-/// Sampling is exact: direct Bernoulli summation for small `n·min(p,1-p)`, otherwise the
-/// inversion-by-counting method on the geometric waiting times (BG algorithm), which is
-/// `O(np)` expected — fine for the simulator's workload sizes.
+/// Sampling is exact. With `q = min(p, 1-p)`, it counts the geometric waiting times
+/// between successes while `n·q < 64`, `n·q + 1` draws expected; above that it sums
+/// `n` Bernoulli draws directly, `O(n)` — fine for the simulator's workload sizes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Binomial {
     n: u64,
@@ -219,7 +224,7 @@ impl Binomial {
             }
             successes
         } else {
-            // Direct summation in blocks; n*q is large but our n stays ≤ a few million.
+            // Direct summation: one Bernoulli draw per trial, O(n).
             let mut successes = 0u64;
             for _ in 0..self.n {
                 if rng.gen_bool(q) {
@@ -515,6 +520,31 @@ mod tests {
             "mean {mean} vs expected {expected}"
         );
         assert_eq!(Geometric::new(1.0).sample(&mut r), 0);
+    }
+
+    #[test]
+    fn geometric_cached_log_matches_the_formula() {
+        // The reference: `ln(1 - p)` recomputed on every draw.
+        fn uncached<R: RandomSource>(p: f64, rng: &mut R) -> u64 {
+            if p >= 1.0 {
+                return 0;
+            }
+            let u = loop {
+                let u = rng.next_f64();
+                if u > 0.0 {
+                    break u;
+                }
+            };
+            (u.ln() / (1.0 - p).ln()).floor() as u64
+        }
+        for p in [0.05, 0.25, 0.9, 1.0] {
+            let g = Geometric::new(p);
+            let mut a = rng();
+            let mut b = rng();
+            for draw in 0..1 << 18 {
+                assert_eq!(g.sample(&mut a), uncached(p, &mut b), "p {p}, draw {draw}");
+            }
+        }
     }
 
     #[test]

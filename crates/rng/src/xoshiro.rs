@@ -74,20 +74,29 @@ impl Xoshiro256PlusPlus {
     }
 }
 
+/// The output function: the next word, read from state words 0 and 3 alone.
+#[inline]
+pub(crate) fn output(s: &[u64; 4]) -> u64 {
+    s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0])
+}
+
+/// The state transition that follows every output.
+#[inline]
+pub(crate) fn advance(s: &mut [u64; 4]) {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+}
+
 impl RandomSource for Xoshiro256PlusPlus {
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
+        let result = output(&self.s);
+        advance(&mut self.s);
         result
     }
 }

@@ -156,3 +156,57 @@ fn crashing_every_server_up_front_serves_nothing() {
     assert_eq!(point.surviving_servers.max, 0.0);
     assert!(point.unassigned_balls.min > 0.0);
 }
+
+/// One faulted RAES run on 2,048 servers under `threads` pool threads and an optional
+/// forced piece count: every round's record, the final loads and the survivors. With
+/// the fault hook attached, the default plan splits the decide into 4 server pieces
+/// (one per 512 servers), so the hook's draws must be keyed by the global server id.
+fn hooked_decide_run(threads: usize, pieces: Option<usize>) -> (Vec<RoundRecord>, Vec<u32>, u64) {
+    let servers = 2048;
+    let seed = 2026;
+    let graph = generators::regular_random(servers, log2_squared(servers), seed).unwrap();
+    let plan = FaultPlan::none()
+        .crash(3, 0.2)
+        .message_loss(0.1, 0.05)
+        .stragglers(0.25, 0.5);
+    let mut builder = Simulation::builder(&graph)
+        .protocol(plan.wrap(ProtocolSpec::Raes { c: 4, d: 2 }.build(), seed))
+        .demand(Demand::Constant(2))
+        .seed(seed)
+        .max_rounds(200)
+        .observer(clb::engine::TrajectoryObserver::default());
+    if let Some(pieces) = pieces {
+        builder = builder.intra_step_pieces(pieces);
+    }
+    let mut sim = builder.build();
+    let result = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .unwrap()
+        .install(|| sim.run());
+    let records = sim
+        .observer::<clb::engine::TrajectoryObserver>()
+        .unwrap()
+        .records
+        .clone();
+    let survivors = plan.surviving_servers(seed, servers as u64, result.rounds);
+    (records, sim.server_loads().to_vec(), survivors)
+}
+
+#[test]
+fn hooked_decide_is_bit_identical_across_threads_and_piece_plans() {
+    let baseline = hooked_decide_run(1, None);
+    assert!(
+        baseline.2 < 2048,
+        "the plan crashed no servers — fault injection is inert"
+    );
+    assert!(baseline.0.len() > 3, "the run ended before the crash round");
+    assert_eq!(baseline, hooked_decide_run(4, None), "1 vs 4 threads");
+    for pieces in [1, 8] {
+        assert_eq!(
+            baseline,
+            hooked_decide_run(4, Some(pieces)),
+            "default plan vs {pieces} forced pieces"
+        );
+    }
+}
